@@ -89,16 +89,8 @@ object Synthesizer {
   }
 
   /** Cluster + constant-discover + build hierarchy for a string column. */
-  def hierarchyOf(strings: Seq[String], constantDiscovery: Boolean = true): PNode = {
-    val clusters = strings.groupBy(Tokenizer.tokenize)
-    val leaves = clusters.toSeq.map { case (p, ss) =>
-      val pat = if (constantDiscovery) ConstantDiscovery.discoverLocal(p, ss) else p
-      (pat, ss.size.toLong)
-    }
-    // constant discovery may map two raw patterns to the same refined one
-    val mergedLeaves = leaves.groupBy(_._1).view.mapValues(_.map(_._2).sum).toSeq
-    Hierarchy.root(Hierarchy.build(mergedLeaves))
-  }
+  def hierarchyOf(strings: Seq[String], constantDiscovery: Boolean = true): PNode =
+    Hierarchy.root(Hierarchy.build(leafClusters(strings, constantDiscovery).toSeq))
 
   /** Leaf pattern of each distinct string form, with counts — the cluster
     * listing shown to the user for labeling (Fig. 3).

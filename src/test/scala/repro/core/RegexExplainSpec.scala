@@ -48,8 +48,35 @@ class RegexExplainSpec extends AnyFunSuite {
   test("multi-token extract becomes one group") {
     val b = Branch(src, Plan(Vector(Extract(1, 3))))
     val r = RegexExplain.explain(b)
-    assert(r.javaReplacement == "$1$2$3")
+    assert(r.javaReplacement == "$1")
+    assert(r.re2Replacement == "\\1")
     assert(r.applyJava("734.645.8397").contains("734.645"))
+  }
+
+  test("a run of extracted tokens is split where an Extract starts or ends") {
+    val pl = Plan(Vector(Extract(1, 3), ConstStr("|"), Extract(3), ConstStr("|"), Extract(4, 5)))
+    val r = RegexExplain.explain(Branch(src, pl))
+    assert(r.javaReplacement == "$1$2|$2|$3")
+    assert(r.applyJava("734.645.8397") == src.split("734.645.8397").flatMap(pl.eval))
+  }
+
+  // 10 two-digit numbers: 19 tokens, numbers at the odd positions
+  private val tenNumbers = "10.11.12.13.14.15.16.17.18.19"
+  private val tenSrc = Tokenizer.tokenize(tenNumbers)
+
+  test("a branch extracting ten separate tokens has no RE2 flavor") {
+    val pl = Plan((1 to 19 by 2).map(Extract(_)).flatMap(e => Vector(ConstStr("-"), e)).tail.toVector)
+    val r = RegexExplain.explain(Branch(tenSrc, pl))
+    assert(r.re2.isEmpty)
+    val e = intercept[UnsupportedOperationException](r.re2Replacement)
+    assert(e.getMessage.contains("more than 9 groups"))
+    assert(r.applyJava(tenNumbers).contains("10-11-12-13-14-15-16-17-18-19"))
+  }
+
+  test("java flavor keeps a digit constant after a reference literal at ten groups") {
+    val pl = Plan((1 to 19 by 2).map(Extract(_)).flatMap(e => Vector(e, ConstStr("0"))).toVector)
+    val r = RegexExplain.explain(Branch(tenSrc, pl))
+    assert(r.applyJava(tenNumbers) == tenSrc.split(tenNumbers).flatMap(pl.eval))
   }
 
   test("dollar signs in constants are escaped for Java") {

@@ -84,6 +84,24 @@ class TransformSparkSpec extends SparkSpec {
     Oracle.assertEquivalent(sparkOut, s"SELECT s, $sql AS out FROM t", "t" -> data)
   }
 
+  test("oracle: a branch extracting eighteen tokens fits RE2's nine groups") {
+    // one group per token would need \10 and up, which RE2 reads as \1 then 0
+    val src10 = Tokenizer.tokenize("10.11.12.13.14.15.16.17.18.19")
+    val plan10 = Plan(Vector(Extract(1, 9), ConstStr(" "), Extract(11, 19)))
+    val prog10 = Program(Vector(Tokenizer.tokenize("10.11.12.13.14 15.16.17.18.19")),
+      Vector(Branch(src10, plan10)))
+    val replace = RegexExplain.explain(prog10.branches.head)
+    val data = df(Seq("10.11.12.13.14.15.16.17.18.19", "99.98.97.96.95.94.93.92.91.90"))
+    val sparkOut = TransformSpark.transform(data, "s", prog10)
+      .select(col("s"), col("transformed") as "out")
+    assert(sparkOut.collect().exists(_.getString(1) == "10.11.12.13.14 15.16.17.18.19"))
+    Oracle.assertEquivalent(
+      sparkOut,
+      s"SELECT s, regexp_replace(s, '${replace.regex}', '${replace.re2Replacement}') AS out FROM t",
+      "t" -> data,
+    )
+  }
+
   test("Catalyst-native path: transformViaRegex equals the UDF path") {
     val data = df(Seq("201.555.0100", "944.123.9876", "(555) 123-4567", "N/A"))
     val viaUdf = TransformSpark.transform(data, "s", prog)
