@@ -1,0 +1,215 @@
+package repro.core
+
+import java.util.{Arrays, HashMap => JHashMap}
+
+/** One-pass, mergeable summary of a string column's leaf clusters (§4).
+  *
+  * Per leaf pattern it keeps the number of strings, the least string (in
+  * `String.compareTo` order) and, per class run, whether every string so far
+  * held the same substring there — all that constant discovery (§4.1) needs.
+  * It is an incremental structure summary in the spirit of Potter's Wheel
+  * (Raman & Hellerstein, VLDB 2001) and FlashProfile (Padhi et al., OOPSLA
+  * 2018).
+  *
+  * A string is keyed by a compact, injective encoding of its leaf pattern
+  * (`ClusterProfile.key`), so a record costs one scan and one hash lookup;
+  * a `Pattern` is built once per cluster, by `clusters`/`leaves`. A leaf
+  * pattern fixes every token's offset, so a record checks the runs still
+  * constant with `String.regionMatches` against the cluster's least string
+  * and allocates no substrings.
+  *
+  * `add` and `merge` update this profile in place and return it. `merge` is
+  * commutative and associative, so partitions can be folded independently
+  * and merged in any order (see `repro.dist.PatternClusteringSpark`). Null
+  * strings are skipped.
+  */
+final class ClusterProfile private (private val entries: JHashMap[String, ClusterProfile.Entry])
+    extends Serializable {
+  import ClusterProfile._
+
+  // Per-record buffers: the key being built and the class runs' offsets.
+  @transient private[this] var keyBuf: java.lang.StringBuilder = _
+  @transient private[this] var spans: Array[Int] = _
+
+  /** Count `s` into its leaf cluster. */
+  def add(s: String): ClusterProfile = {
+    if (s != null) {
+      if (keyBuf == null) { keyBuf = new java.lang.StringBuilder; spans = new Array[Int](32) }
+      if (spans.length < 2 * s.length) spans = new Array[Int](2 * s.length)
+      keyBuf.setLength(0)
+      val runs = encode(s, keyBuf, spans)
+      val key = keyBuf.toString
+      val e = entries.get(key)
+      if (e == null) entries.put(key, Entry(s, Arrays.copyOf(spans, 2 * runs)))
+      else e.add(s)
+    }
+    this
+  }
+
+  /** Fold `that` into this profile; `that` is left unchanged. */
+  def merge(that: ClusterProfile): ClusterProfile = {
+    that.entries.forEach { (key, e) =>
+      val mine = entries.get(key)
+      if (mine == null) entries.put(key, e.copy) else mine.merge(e)
+    }
+    this
+  }
+
+  /** Leaf pattern → string count, without constant discovery. */
+  def leaves: Map[Pattern, Long] = tally((key, _) => leafPattern(key))
+
+  /** Leaf clusters with constant discovery: in a cluster of at least
+    * `minSupport` strings, a class run that holds the same substring in
+    * every string becomes that literal. Clusters whose refined patterns
+    * coincide are merged, their counts summed.
+    */
+  def clusters(minSupport: Int = 2): Map[Pattern, Long] =
+    tally((key, e) => if (e.count >= minSupport) e.refined(key) else leafPattern(key))
+
+  private def tally(pattern: (String, Entry) => Pattern): Map[Pattern, Long] = {
+    val sums = scala.collection.mutable.HashMap.empty[Pattern, Long]
+    entries.forEach((key, e) => sums.updateWith(pattern(key, e))(n => Some(n.getOrElse(0L) + e.count)))
+    sums.toMap
+  }
+
+  override def equals(other: Any): Boolean = other match {
+    case that: ClusterProfile => entries == that.entries
+    case _                    => false
+  }
+
+  override def hashCode: Int = entries.hashCode
+}
+
+object ClusterProfile {
+
+  def empty: ClusterProfile = new ClusterProfile(new JHashMap)
+
+  /** Profile of `strings` in one pass. */
+  def of(strings: IterableOnce[String]): ClusterProfile = {
+    val profile = empty
+    strings.iterator.foreach(profile.add)
+    profile
+  }
+
+  /** Key tag of a literal character; class runs are tagged with their
+    * `Tokenizer.classIndex` (0–2).
+    */
+  private val LitTag = 3.toChar
+
+  /** Compact key of `s`'s leaf pattern: per class run its tag and its length
+    * in two chars (high and low 16 bits), per literal character `LitTag` and
+    * the character. Every tag fixes the width of what follows it, so the key
+    * decodes back to exactly one pattern (`leafPattern`): two strings share a
+    * key iff they share a leaf pattern.
+    */
+  def key(s: String): String = {
+    val sb = new java.lang.StringBuilder
+    encode(s, sb, new Array[Int](2 * s.length))
+    sb.toString
+  }
+
+  /** Append `s`'s key to `key`, write each class run's start and end offset
+    * into `spans` (room for `2 * s.length`), and return the number of runs.
+    */
+  private def encode(s: String, key: java.lang.StringBuilder, spans: Array[Int]): Int = {
+    var runs = 0
+    var i = 0
+    val n = s.length
+    while (i < n) {
+      val c = s.charAt(i)
+      val cls = Tokenizer.classIndex(c)
+      if (cls < 0) {
+        key.append(LitTag).append(c)
+        i += 1
+      } else {
+        var j = i + 1
+        while (j < n && Tokenizer.classIndex(s.charAt(j)) == cls) j += 1
+        val len = j - i
+        key.append(cls.toChar).append((len >>> 16).toChar).append(len.toChar)
+        spans(2 * runs) = i
+        spans(2 * runs + 1) = j
+        runs += 1
+        i = j
+      }
+    }
+    runs
+  }
+
+  /** The leaf pattern a key encodes. */
+  def leafPattern(key: String): Pattern = {
+    val out = Vector.newBuilder[Token]
+    var i = 0
+    while (i < key.length) {
+      val tag = key.charAt(i)
+      if (tag == LitTag) {
+        out += Token.lit(key.charAt(i + 1).toString)
+        i += 2
+      } else {
+        out += Token(Tokenizer.leafClasses(tag), (key.charAt(i + 1) << 16) | key.charAt(i + 2))
+        i += 3
+      }
+    }
+    Pattern(out.result())
+  }
+
+  /** One cluster's summary. `spans` holds the start and end offset of each
+    * class run, `constant(r)` whether run `r` held the same substring in
+    * every string counted; `sample` is the least string counted.
+    */
+  private final class Entry(var count: Long, var sample: String, val spans: Array[Int],
+                            val constant: Array[Boolean]) extends Serializable {
+
+    def add(s: String): Unit = {
+      count += 1
+      narrow(s)
+      if (s.compareTo(sample) < 0) sample = s
+    }
+
+    def merge(that: Entry): Unit = {
+      count += that.count
+      var r = 0
+      while (r < constant.length) { constant(r) &&= that.constant(r); r += 1 }
+      narrow(that.sample)
+      if (that.sample.compareTo(sample) < 0) sample = that.sample
+    }
+
+    /** Clear the runs where `s` (same leaf pattern) differs from `sample`. */
+    private def narrow(s: String): Unit = {
+      var r = 0
+      while (r < constant.length) {
+        if (constant(r)) {
+          val start = spans(2 * r)
+          constant(r) = s.regionMatches(start, sample, start, spans(2 * r + 1) - start)
+        }
+        r += 1
+      }
+    }
+
+    /** The leaf pattern of `key` with every constant run made a literal. */
+    def refined(key: String): Pattern = {
+      var r = -1
+      Pattern(leafPattern(key).tokens.map { t =>
+        if (t.isLiteral) t
+        else {
+          r += 1
+          if (constant(r)) Token.lit(sample.substring(spans(2 * r), spans(2 * r + 1))) else t
+        }
+      })
+    }
+
+    def copy: Entry = new Entry(count, sample, spans, constant.clone)
+
+    override def equals(other: Any): Boolean = other match {
+      case that: Entry =>
+        count == that.count && sample == that.sample && Arrays.equals(constant, that.constant)
+      case _ => false
+    }
+
+    override def hashCode: Int = (count, sample, Arrays.hashCode(constant)).hashCode
+  }
+
+  private object Entry {
+    def apply(s: String, spans: Array[Int]): Entry =
+      new Entry(1, s, spans, Array.fill(spans.length / 2)(true))
+  }
+}

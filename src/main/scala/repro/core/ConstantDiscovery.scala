@@ -4,7 +4,11 @@ package repro.core
   *
   * Within a pattern cluster, a token position whose underlying substring is
   * identical across every member string is re-labeled as a literal token
-  * with that value (e.g. `<U>3` → `'CPT'`).
+  * with that value (e.g. `<U>3` → `'CPT'`). The statistic behind it — per
+  * leaf cluster and class run, "still constant?" — is kept by
+  * `ClusterProfile`, whose one-pass fold serves both the driver path
+  * (`Synthesizer.leafClusters`) and the Spark path
+  * (`repro.dist.PatternClusteringSpark`).
   *
   * Adjacent literals are deliberately NOT merged into one token (the
   * paper's `'Dr.'` display): merging `'CPT'` with a neighboring `'-'`
@@ -17,38 +21,13 @@ package repro.core
   */
 object ConstantDiscovery {
 
-  /** Per-position value summary of a cluster: (#distinct values, a value). */
-  final case class PositionStat(distinct: Long, value: String)
-
-  /** Rewrite `pattern` given per-position stats and the cluster size.
-    *
-    * This is the driver-side half; the stats can come from a local pass
-    * (`discoverLocal`) or from a distributed aggregation
-    * (see `repro.dist.PatternClusteringSpark`).
+  /** Constant discovery over one cluster's strings, whose common leaf
+    * pattern is `pattern`; any other `pattern` is returned unchanged.
     */
-  def applyStats(pattern: Pattern, stats: Map[Int, PositionStat], clusterSize: Long,
-                 minSupport: Int = 2): Pattern = {
-    if (clusterSize < minSupport) return pattern
-    val upgraded = pattern.tokens.zipWithIndex.map { case (t, i) =>
-      if (t.isLiteral) t
-      else stats.get(i) match {
-        case Some(PositionStat(1, v)) => Token.lit(v)
-        case _                        => t
-      }
-    }
-    Pattern(upgraded)
-  }
-
-  /** Local (in-memory) constant discovery over one cluster's strings. */
   def discoverLocal(pattern: Pattern, strings: Seq[String], minSupport: Int = 2): Pattern = {
-    if (strings.isEmpty) return pattern
-    val splits = strings.flatMap(pattern.split)
-    if (splits.size != strings.size) return pattern // defensive
-    val stats = pattern.tokens.indices.map { i =>
-      val vals = splits.map(_(i)).distinct
-      i -> PositionStat(vals.size.toLong, vals.head)
-    }.toMap
-    applyStats(pattern, stats, strings.size.toLong, minSupport)
+    val profile = ClusterProfile.of(strings)
+    if (profile.leaves.keySet != Set(pattern)) pattern
+    else profile.clusters(minSupport).head._1
   }
 
   /** Merge runs of adjacent literal tokens into a single literal token. */

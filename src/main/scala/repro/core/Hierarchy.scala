@@ -58,26 +58,13 @@ object Hierarchy {
     * child is covered. A parent identical to its single child collapses
     * into that child (no degenerate chain nodes).
     */
-  def refineLayer(children: Vector[PNode], g: Strategy): Vector[PNode] = {
-    val withParents = children.map(c => (getParent(c.pattern, g), c))
-    val byParent: Map[Pattern, Vector[PNode]] =
-      withParents.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-    // Greedy admission ranked by coverage, per Algorithm 1 lines 7-10.
-    val ranked = byParent.toVector.sortBy { case (p, cs) => (-cs.size, p.render) }
-    var remaining = children.toSet
-    val out = Vector.newBuilder[PNode]
-    ranked.foreach { case (parent, cs) =>
-      val covered = cs.filter(remaining.contains)
-      if (covered.nonEmpty) {
-        remaining --= covered
-        out += (covered match {
-          case Vector(only) if only.pattern == parent => only
-          case _ => PNode(parent, covered, covered.map(_.count).sum)
-        })
-      }
+  def refineLayer(children: Vector[PNode], g: Strategy): Vector[PNode] =
+    // Greedy admission ranked by coverage, per Algorithm 1 lines 7-10. The
+    // groups partition `children`, so every parent covers all of its group.
+    byCoverage(children.groupBy(c => getParent(c.pattern, g)).toVector)(_.size).map {
+      case (parent, Vector(only)) if only.pattern == parent => only
+      case (parent, cs)                                     => PNode(parent, cs, cs.map(_.count).sum)
     }
-    out.result()
-  }
 
   /** Build the full hierarchy from leaf clusters `(pattern, count)`.
     *
@@ -85,12 +72,19 @@ object Hierarchy {
     * (usually one or a few `<AN>`-level patterns).
     */
   def build(leafClusters: Seq[(Pattern, Long)]): Vector[PNode] = {
-    var layer = leafClusters.toVector
-      .sortBy { case (p, c) => (-c, p.render) }
+    var layer = byCoverage(leafClusters.toVector)(identity)
       .map { case (p, c) => PNode(p, Vector.empty, c) }
     strategies.foreach { g => layer = refineLayer(layer, g) }
     layer
   }
+
+  /** Sort `(pattern, a)` pairs by descending `size(a)`, ties by rendered
+    * pattern, stably; each pattern is rendered once, not per comparison.
+    */
+  private def byCoverage[A](xs: Vector[(Pattern, A)])(size: A => Long): Vector[(Pattern, A)] =
+    xs.map { case pa @ (p, a) => (size(a), p.render, pa) }
+      .sortWith { case ((n1, r1, _), (n2, r2, _)) => n1 > n2 || (n1 == n2 && r1 < r2) }
+      .map(_._3)
 
   /** Wrap a forest under a synthetic root for Algorithm 2's single queue.
     * The synthetic root's pattern is never used as a source candidate.

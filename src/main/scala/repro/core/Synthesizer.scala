@@ -61,7 +61,9 @@ object Synthesizer {
     while (queue.nonEmpty) {
       val node = queue.dequeue()
       val p = node.pattern
-      if (p.isEmpty) queue.enqueueAll(node.children) // synthetic root
+      // The synthetic root; the empty string's leaf shares its empty
+      // pattern but is a leaf, and is validated like any other.
+      if (p.isEmpty && !node.isLeaf) queue.enqueueAll(node.children)
       else if (targetSet.contains(p)) () // already in a desired form
       else {
         val plans: Vector[Plan] =
@@ -96,10 +98,7 @@ object Synthesizer {
     * listing shown to the user for labeling (Fig. 3).
     */
   def leafClusters(strings: Seq[String], constantDiscovery: Boolean = true): Map[Pattern, Long] = {
-    val clusters = strings.groupBy(Tokenizer.tokenize)
-    clusters.toSeq.map { case (p, ss) =>
-      val pat = if (constantDiscovery) ConstantDiscovery.discoverLocal(p, ss) else p
-      (pat, ss.size.toLong)
-    }.groupBy(_._1).view.mapValues(_.map(_._2).sum).toMap
+    val profile = ClusterProfile.of(strings)
+    if (constantDiscovery) profile.clusters() else profile.leaves
   }
 }

@@ -13,11 +13,15 @@ package repro.core
   */
 object Tokenizer {
 
-  private def classOf(c: Char): Option[TokType] =
-    if (c >= '0' && c <= '9') Some(TokType.D)
-    else if (c >= 'a' && c <= 'z') Some(TokType.L)
-    else if (c >= 'A' && c <= 'Z') Some(TokType.U)
-    else None
+  /** The classes of leaf class runs, indexed by `classIndex`. */
+  private[core] val leafClasses: Array[TokType] = Array(TokType.D, TokType.L, TokType.U)
+
+  /** Index of `c`'s class in `leafClasses`, or -1 for a literal character. */
+  private[core] def classIndex(c: Char): Int =
+    if (c >= '0' && c <= '9') 0
+    else if (c >= 'a' && c <= 'z') 1
+    else if (c >= 'A' && c <= 'Z') 2
+    else -1
 
   /** Tokenize a string into its leaf pattern. The empty string maps to the
     * empty pattern (a cluster of its own).
@@ -28,15 +32,15 @@ object Tokenizer {
     val n = s.length
     while (i < n) {
       val c = s.charAt(i)
-      classOf(c) match {
-        case Some(t) =>
-          var j = i + 1
-          while (j < n && classOf(s.charAt(j)).contains(t)) j += 1
-          out += Token(t, Quant.Num(j - i))
-          i = j
-        case None =>
-          out += Token.lit(c.toString)
-          i += 1
+      val cls = classIndex(c)
+      if (cls < 0) {
+        out += Token.lit(c.toString)
+        i += 1
+      } else {
+        var j = i + 1
+        while (j < n && classIndex(s.charAt(j)) == cls) j += 1
+        out += Token(leafClasses(cls), Quant.Num(j - i))
+        i = j
       }
     }
     Pattern(out.result())

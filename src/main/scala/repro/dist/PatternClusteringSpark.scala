@@ -1,27 +1,24 @@
 package repro.dist
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 import repro.core._
 
 /** Distributed pattern clustering (§4) over a DataFrame string column.
   *
-  * Tokenization runs on executors as a UDF added via `withColumn`; the
-  * distinct-pattern space (small by construction — that is the paper's
-  * whole point) is aggregated with `groupBy` and collected to the driver,
-  * where constant discovery is applied and the hierarchy (Algorithm 1) is
-  * built. Constant discovery's per-(pattern, position) distinct-value
-  * statistics are themselves a distributed aggregation (`posexplode` +
-  * `countDistinct`), so no raw data beyond the pattern summaries ever
-  * reaches the driver.
+  * Leaf clusters with constant discovery come from one `ClusterProfile`
+  * fold per partition: executors key each string by its compact leaf key
+  * and track count, least string and still-constant runs; the driver merges
+  * the partitions' profiles and builds one pattern per cluster, then the
+  * hierarchy (Algorithm 1). Only the per-pattern summaries reach the
+  * driver, never raw data beyond one string per cluster. The cluster
+  * listing (`clusterCounts`) and `withPattern` still key rows by the
+  * rendered-pattern UDF.
   */
 object PatternClusteringSpark {
 
   /** Rendered-pattern UDF column (leaf tokenization, no constants). */
   val patternUdf = udf((s: String) => if (s == null) null else Tokenizer.tokenize(s).render)
-
-  private val tokenValuesUdf =
-    udf((s: String) => if (s == null) null else Tokenizer.tokenizeWithValues(s)._2)
 
   /** Add a `pattern` column to `df` (leaf pattern of `col`). */
   def withPattern(df: DataFrame, col: String, out: String = "pattern"): DataFrame =
@@ -36,36 +33,13 @@ object PatternClusteringSpark {
 
   /** Leaf clusters with constant discovery, computed distributedly.
     *
-    * Returns (refined pattern → string count). Patterns that collapse to
-    * the same refined pattern are merged.
+    * Returns (refined pattern → string count) over the non-null strings.
+    * Patterns that collapse to the same refined pattern are merged.
     */
-  def leafClusters(df: DataFrame, col: String, minSupport: Int = 2): Map[Pattern, Long] = {
-    val withCols = withPattern(df, col).withColumn("toks", tokenValuesUdf(df(col)))
-
-    val counts: Map[String, (Long, String)] =
-      withCols.groupBy("pattern").agg(count(lit(1)) as "n", min(df(col)) as "sample")
-        .collect()
-        .map(r => r.getString(0) -> (r.getLong(1), r.getString(2)))
-        .toMap
-
-    // per-(pattern, position) distinct-value stats for constant discovery
-    val stats: Map[String, Map[Int, ConstantDiscovery.PositionStat]] =
-      withCols.select(column("pattern"), posexplode(column("toks")).as(Seq("pos", "tv")))
-        .groupBy("pattern", "pos")
-        .agg(countDistinct("tv") as "d", min("tv") as "v")
-        .collect()
-        .groupBy(_.getString(0))
-        .view.mapValues(_.map(r => r.getInt(1) -> ConstantDiscovery.PositionStat(r.getLong(2), r.getString(3))).toMap)
-        .toMap
-
-    val refined = counts.toSeq.map { case (rendered, (n, sample)) =>
-      val leaf = Tokenizer.tokenize(sample) // reconstruct Pattern from a sample
-      require(leaf.render == rendered, s"pattern key mismatch: $rendered vs ${leaf.render}")
-      val pat = ConstantDiscovery.applyStats(leaf, stats.getOrElse(rendered, Map.empty), n, minSupport)
-      (pat, n)
-    }
-    refined.groupBy(_._1).view.mapValues(_.map(_._2).sum).toMap
-  }
+  def leafClusters(df: DataFrame, col: String, minSupport: Int = 2): Map[Pattern, Long] =
+    df.select(df(col)).as(Encoders.STRING).rdd
+      .aggregate(ClusterProfile.empty)(_ add _, _ merge _)
+      .clusters(minSupport)
 
   /** Full clustering phase: leaf clusters → pattern cluster hierarchy. */
   def hierarchy(df: DataFrame, col: String, minSupport: Int = 2): Hierarchy.PNode =

@@ -1,0 +1,128 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalatest.funsuite.AnyFunSuite
+import TokType._
+
+/** The one-pass cluster profile behind leaf clustering and constant
+  * discovery (§4): its compact key, its merge, and agreement with a
+  * straightforward `groupBy(tokenize)` reference.
+  */
+class ClusterProfileSpec extends AnyFunSuite {
+
+  private def check(prop: Prop, tests: Int = 300): Unit = {
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(tests), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  /** Strings from a few format families; small alphabets so that leaf
+    * patterns repeat and positions are often (but not always) constant.
+    */
+  private val strings: Gen[String] = {
+    def digits(n: Int) = Gen.listOfN(n, Gen.oneOf('1', '2', '7')).map(_.mkString)
+    Gen.oneOf(
+      for (a <- digits(3); b <- digits(3); c <- digits(4); sep <- Gen.oneOf("-", ".", " "))
+        yield s"$a$sep$b$sep$c",
+      for (code <- Gen.oneOf("CPT", "MRI"); n <- digits(3)) yield code + n,
+      for (t <- Gen.oneOf("Dr.", "Mr."); name <- Gen.oneOf("Eran", "Kath", "Bob")) yield s"$t $name",
+      Gen.choose(0, 5).flatMap(n =>
+        Gen.listOfN(n, Gen.oneOf('a', 'B', '7', '-', '\u0000', '\u0003', 'é')).map(_.mkString)),
+    )
+  }
+
+  private val columns: Gen[List[String]] = Gen.choose(0, 60).flatMap(Gen.listOfN(_, strings))
+
+  /** Leaf clusters as `groupBy(tokenize)` plus a per-position distinct count. */
+  private def reference(column: Seq[String], minSupport: Int = 2): Map[Pattern, Long] =
+    column.groupBy(Tokenizer.tokenize).toSeq.map { case (leaf, members) =>
+      val values = members.map(Tokenizer.tokenizeWithValues(_)._2)
+      val refined =
+        if (members.size < minSupport) leaf
+        else Pattern(leaf.tokens.zipWithIndex.map { case (t, i) =>
+          val distinct = values.map(_(i)).distinct
+          if (!t.isLiteral && distinct.size == 1) Token.lit(distinct.head) else t
+        })
+      refined -> members.size.toLong
+    }.groupMapReduce(_._1)(_._2)(_ + _)
+
+  test("merging split profiles equals folding the whole") {
+    check(Prop.forAll(columns, Gen.choose(0, 60)) { (column, at) =>
+      val (a, b) = column.splitAt(at)
+      val whole = ClusterProfile.of(column)
+      ClusterProfile.of(a).merge(ClusterProfile.of(b)) == whole &&
+        ClusterProfile.of(b).merge(ClusterProfile.of(a)) == whole
+    })
+  }
+
+  test("merge is associative and leaves its argument alone") {
+    check(Prop.forAll(columns, columns, columns) { (a, b, c) =>
+      val (pa, pb, pc) = (ClusterProfile.of(a), ClusterProfile.of(b), ClusterProfile.of(c))
+      val left = ClusterProfile.of(a).merge(pb).merge(pc)
+      val right = ClusterProfile.of(a).merge(ClusterProfile.of(b).merge(pc))
+      left == right && left == ClusterProfile.of(a ++ b ++ c) &&
+        pb == ClusterProfile.of(b) && pc == ClusterProfile.of(c) && pa == ClusterProfile.of(a)
+    })
+  }
+
+  test("leafClusters equals the groupBy(tokenize) reference") {
+    check(Prop.forAll(columns) { column =>
+      Synthesizer.leafClusters(column) == reference(column) &&
+        Synthesizer.leafClusters(column, constantDiscovery = false) ==
+          column.groupBy(Tokenizer.tokenize).view.mapValues(_.size.toLong).toMap
+    })
+  }
+
+  test("clusters honor minSupport like the reference") {
+    check(Prop.forAll(columns, Gen.choose(1, 4)) { (column, minSupport) =>
+      ClusterProfile.of(column).clusters(minSupport) == reference(column, minSupport)
+    })
+  }
+
+  test("merged profiles discover constants") {
+    val partition1 = ClusterProfile.of(Seq("AB12", "AB34"))
+    val partition2 = ClusterProfile.of(Seq("AB12", "AB56", "AB78"))
+    assert(partition1.merge(partition2).clusters() ==
+      Map(Pattern.of(Token.lit("AB"), Token(D, 2)) -> 5L))
+  }
+
+  test("null strings are skipped") {
+    val profile = ClusterProfile.of(Seq("CPT115", null, "CPT204", null))
+    assert(profile == ClusterProfile.of(Seq("CPT115", "CPT204")))
+    assert(profile.clusters() == Map(Pattern.of(Token.lit("CPT"), Token(D, 3)) -> 2L))
+  }
+
+  test("keys agree exactly when leaf patterns agree") {
+    check(Prop.forAll(strings, strings) { (s, t) =>
+      ClusterProfile.leafPattern(ClusterProfile.key(s)) == Tokenizer.tokenize(s) &&
+        (ClusterProfile.key(s) == ClusterProfile.key(t)) == (Tokenizer.tokenize(s) == Tokenizer.tokenize(t))
+    }, tests = 2000)
+  }
+
+  test("key keeps run lengths past 16 bits apart") {
+    val long = "0" * 70000
+    val wrapped = "0" * (70000 % 65536)
+    assert(ClusterProfile.key(long) != ClusterProfile.key(wrapped))
+    assert(ClusterProfile.leafPattern(ClusterProfile.key(long)) == Pattern.of(Token(D, 70000)))
+    assert(ClusterProfile.leafPattern(ClusterProfile.key(wrapped)) == Pattern.of(Token(D, 4464)))
+    assert(ClusterProfile.of(Seq(long, wrapped, wrapped)).leaves ==
+      Map(Pattern.of(Token(D, 70000)) -> 1L, Pattern.of(Token(D, 4464)) -> 2L))
+  }
+
+  test("literal characters equal to key tags stay distinct") {
+    val alphabet = Seq('\u0000', '\u0001', '\u0002', '\u0003', '0', 'a', 'A')
+    val all = (0 to 3).flatMap(n => Seq.fill(n)(alphabet).foldLeft(Seq(""))((acc, cs) =>
+      for (s <- acc; c <- cs) yield s + c))
+    assert(all.size == 1 + 7 + 49 + 343)
+    all.foreach { s =>
+      assert(ClusterProfile.leafPattern(ClusterProfile.key(s)) == Tokenizer.tokenize(s), s.map(_.toInt))
+    }
+    assert(all.map(ClusterProfile.key).distinct.size == all.map(Tokenizer.tokenize).distinct.size)
+  }
+
+  test("the empty string has a key and a cluster") {
+    assert(ClusterProfile.key("") == "")
+    assert(ClusterProfile.leafPattern("") == Pattern.empty)
+    assert(ClusterProfile.of(Seq("", "", "7")).clusters() ==
+      Map(Pattern.empty -> 2L, Pattern.of(Token(D, 1)) -> 1L))
+  }
+}

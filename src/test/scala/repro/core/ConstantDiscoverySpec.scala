@@ -53,16 +53,6 @@ class ConstantDiscoverySpec extends AnyFunSuite {
     assert(ConstantDiscovery.mergeLiterals(p) == Pattern.of(Token.lit("Dr."), Token(L, 2)))
   }
 
-  test("applyStats with distributed-style statistics") {
-    val p = Tokenizer.tokenize("AB12")
-    val stats = Map(
-      0 -> ConstantDiscovery.PositionStat(1, "AB"),
-      1 -> ConstantDiscovery.PositionStat(9, "12"),
-    )
-    assert(ConstantDiscovery.applyStats(p, stats, clusterSize = 5) ==
-      Pattern.of(Token.lit("AB"), Token(D, 2)))
-  }
-
   test("empty strings list is a no-op") {
     val p = Tokenizer.tokenize("abc")
     assert(ConstantDiscovery.discoverLocal(p, Nil) == p)

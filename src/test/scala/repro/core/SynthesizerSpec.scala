@@ -48,6 +48,25 @@ class SynthesizerSpec extends AnyFunSuite {
     assert(res.noise.nonEmpty)
   }
 
+  test("empty strings among phones are reported as noise") {
+    val strings = Seq("734-422-8073", "", "734.236.3466", "", "(201) 555-0100")
+    val target = p("(734) 645-8397")
+    val res = Synthesizer.fromStrings(strings, Seq(target))
+    assert(res.noise == Vector(Pattern.empty))
+    // Every record is solved, already in the target form, or noise.
+    val root = Synthesizer.hierarchyOf(strings)
+    val solved = root.preOrder.filter(n => res.solutions.exists(_.source == n.pattern)).flatMap(_.leaves)
+    val accounted = root.leaves.filter(l => solved.contains(l) || l.pattern == target || res.noise.contains(l.pattern))
+    assert(accounted.map(_.count).sum == strings.size)
+  }
+
+  test("a column of only empty strings is noise") {
+    val root = Synthesizer.hierarchyOf(Seq("", "", ""))
+    assert(root.isLeaf && root.pattern.isEmpty && root.count == 3)
+    assert(Synthesizer.synthesize(root, Seq(p("(734) 645-8397"))) ==
+      Synthesizer.Result(Vector.empty, Vector(Pattern.empty)))
+  }
+
   test("program leaves noise unchanged and flagged") {
     val strings = Seq("734-422-8073", "N/A", "N/A")
     val res = Synthesizer.fromStrings(strings, Seq(p("(734) 645-8397")))

@@ -5,7 +5,8 @@ import repro.{Oracle, SparkSpec, SynthData}
 import repro.core._
 
 /** Distributed clustering (§4) over DataFrames: withColumn tokenization
-  * UDF, groupBy pattern counts, distributed constant discovery, hierarchy.
+  * UDF, groupBy pattern counts, the per-partition cluster profile with
+  * constant discovery, hierarchy.
   */
 class PatternClusteringSparkSpec extends SparkSpec {
 
@@ -52,6 +53,34 @@ class PatternClusteringSparkSpec extends SparkSpec {
     val viaSpark = PatternClusteringSpark.leafClusters(df(strings), "s")
     val viaLocal = Synthesizer.leafClusters(strings)
     assert(viaSpark == viaLocal)
+  }
+
+  test("leafClusters equals the driver path at 1 and 7 partitions") {
+    val rnd = new scala.util.Random(7)
+    def digits(n: Int) = Seq.fill(n)("127"(rnd.nextInt(3))).mkString
+    val strings = Seq.fill(400)(rnd.nextInt(4) match {
+      case 0 => s"${digits(3)}-${digits(3)}-${digits(4)}"
+      case 1 => Seq("CPT", "MRI")(rnd.nextInt(2)) + digits(3)
+      case 2 => Seq("Dr.", "Mr.")(rnd.nextInt(2)) + " " + Seq("Eran", "Kath")(rnd.nextInt(2))
+      case _ => Seq.fill(rnd.nextInt(5))("aB7-\u0000é"(rnd.nextInt(6))).mkString
+    })
+    val viaLocal = Synthesizer.leafClusters(strings)
+    Seq(1, 7).foreach { n =>
+      assert(PatternClusteringSpark.leafClusters(df(strings).repartition(n), "s") == viaLocal, s"$n partitions")
+    }
+  }
+
+  test("nulls are skipped by leafClusters and hierarchy") {
+    import spark.implicits._
+    val cells = Seq(Some("CPT115"), None, Some("CPT204"), None, Some("N/A"), Some("CPT987"))
+    val data = cells.toDF("s").repartition(3)
+    val present = cells.flatten
+    val clusters = PatternClusteringSpark.leafClusters(data, "s")
+    assert(clusters == Synthesizer.leafClusters(present))
+    assert(clusters.values.sum == present.size)
+    val root = PatternClusteringSpark.hierarchy(data, "s")
+    assert(root.count == present.size)
+    assert(root.leaves.map(_.pattern).toSet == Synthesizer.hierarchyOf(present).leaves.map(_.pattern).toSet)
   }
 
   test("hierarchy from a DataFrame equals the local hierarchy") {
