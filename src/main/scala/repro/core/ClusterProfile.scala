@@ -1,15 +1,18 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
 import java.util.{Arrays, HashMap => JHashMap}
 
 /** One-pass, mergeable summary of a string column's leaf clusters (§4).
   *
   * Per leaf pattern it keeps the number of strings, the least string (in
-  * `String.compareTo` order) and, per class run, whether every string so far
-  * held the same substring there — all that constant discovery (§4.1) needs.
-  * It is an incremental structure summary in the spirit of Potter's Wheel
-  * (Raman & Hellerstein, VLDB 2001) and FlashProfile (Padhi et al., OOPSLA
-  * 2018).
+  * `String.compareTo` order), whether every string matched one of the
+  * profile's `targets` and, per class run, whether every string so far held
+  * the same substring there — all that constant discovery (§4.1), the cluster
+  * listing (Fig. 3) and the output-pattern listing (Fig. 2) need. Null
+  * strings are only counted. It is an incremental structure summary in the
+  * spirit of Potter's Wheel (Raman & Hellerstein, VLDB 2001) and FlashProfile
+  * (Padhi et al., OOPSLA 2018).
   *
   * A string is keyed by a compact, injective encoding of its leaf pattern
   * (`ClusterProfile.key`), so a record costs one scan and one hash lookup;
@@ -20,34 +23,40 @@ import java.util.{Arrays, HashMap => JHashMap}
   *
   * `add` and `merge` update this profile in place and return it. `merge` is
   * commutative and associative, so partitions can be folded independently
-  * and merged in any order (see `repro.dist.PatternClusteringSpark`). Null
-  * strings are skipped.
+  * and merged in any order (see `repro.dist.PatternClusteringSpark`); both
+  * sides must have the same `targets`.
   */
-final class ClusterProfile private (private val entries: JHashMap[String, ClusterProfile.Entry])
+final class ClusterProfile private (private val targets: Seq[Pattern],
+                                    private val entries: JHashMap[String, ClusterProfile.Entry])
     extends Serializable {
   import ClusterProfile._
+
+  private var nulls = 0L
 
   // Per-record buffers: the key being built and the class runs' offsets.
   @transient private[this] var keyBuf: java.lang.StringBuilder = _
   @transient private[this] var spans: Array[Int] = _
 
-  /** Count `s` into its leaf cluster. */
+  /** Count `s` into its leaf cluster, or into the null count. */
   def add(s: String): ClusterProfile = {
-    if (s != null) {
+    if (s == null) nulls += 1
+    else {
       if (keyBuf == null) { keyBuf = new java.lang.StringBuilder; spans = new Array[Int](32) }
       if (spans.length < 2 * s.length) spans = new Array[Int](2 * s.length)
       keyBuf.setLength(0)
       val runs = encode(s, keyBuf, spans)
       val key = keyBuf.toString
+      val onTarget = targets.exists(_.matches(s))
       val e = entries.get(key)
-      if (e == null) entries.put(key, Entry(s, Arrays.copyOf(spans, 2 * runs)))
-      else e.add(s)
+      if (e == null) entries.put(key, Entry(s, Arrays.copyOf(spans, 2 * runs), onTarget))
+      else e.add(s, onTarget)
     }
     this
   }
 
   /** Fold `that` into this profile; `that` is left unchanged. */
   def merge(that: ClusterProfile): ClusterProfile = {
+    nulls += that.nulls
     that.entries.forEach { (key, e) =>
       val mine = entries.get(key)
       if (mine == null) entries.put(key, e.copy) else mine.merge(e)
@@ -72,23 +81,60 @@ final class ClusterProfile private (private val entries: JHashMap[String, Cluste
     sums.toMap
   }
 
+  /** Whether every non-null string counted matches one of `targets`. */
+  def allOnTarget: Boolean = entries.values.stream.allMatch(_.onTarget)
+
+  /** One row per leaf pattern, plus a `(null, #nulls, null, false)` row
+    * if any null was counted; ordered as Spark's
+    * `orderBy(desc(count), asc(pattern))` orders them: count descending, then
+    * rendered pattern in UTF-8 byte order with null first.
+    */
+  def listing: Seq[Listed] = {
+    val rows = Vector.newBuilder[(Listed, Array[Byte])]
+    if (nulls > 0) rows += Listed(null, nulls, null, onTarget = false) -> null
+    entries.forEach { (key, e) =>
+      val pattern = leafPattern(key).render
+      rows += Listed(pattern, e.count, e.sample, e.onTarget) -> pattern.getBytes(UTF_8)
+    }
+    rows.result().sorted(listingOrder).map(_._1)
+  }
+
   override def equals(other: Any): Boolean = other match {
-    case that: ClusterProfile => entries == that.entries
+    case that: ClusterProfile => targets == that.targets && nulls == that.nulls && entries == that.entries
     case _                    => false
   }
 
-  override def hashCode: Int = entries.hashCode
+  override def hashCode: Int = (targets, nulls, entries).hashCode
 }
 
 object ClusterProfile {
 
-  def empty: ClusterProfile = new ClusterProfile(new JHashMap)
+  def empty: ClusterProfile = against(Nil)
+
+  /** An empty profile that also records, per cluster, whether every string
+    * matches one of `targets`.
+    */
+  def against(targets: Seq[Pattern]): ClusterProfile = new ClusterProfile(targets, new JHashMap)
 
   /** Profile of `strings` in one pass. */
   def of(strings: IterableOnce[String]): ClusterProfile = {
     val profile = empty
     strings.iterator.foreach(profile.add)
     profile
+  }
+
+  /** A listing row: the rendered leaf pattern (null for the null strings),
+    * its number of strings, the least of them (`sample`), and whether every
+    * one matches a target. Within a leaf cluster two strings first differ at
+    * an ASCII class-run character, so `sample` is the least in UTF-8 byte
+    * order too: Spark's `min`.
+    */
+  final case class Listed(pattern: String, count: Long, sample: String, onTarget: Boolean)
+
+  /** Count descending, then UTF-8 bytes ascending (a null array first). */
+  private val listingOrder: Ordering[(Listed, Array[Byte])] = (a, b) => {
+    val byCount = java.lang.Long.compare(b._1.count, a._1.count)
+    if (byCount != 0) byCount else Arrays.compareUnsigned(a._2, b._2)
   }
 
   /** Key tag of a literal character; class runs are tagged with their
@@ -154,19 +200,22 @@ object ClusterProfile {
 
   /** One cluster's summary. `spans` holds the start and end offset of each
     * class run, `constant(r)` whether run `r` held the same substring in
-    * every string counted; `sample` is the least string counted.
+    * every string counted; `sample` is the least string counted and
+    * `onTarget` whether every one matched a target.
     */
-  private final class Entry(var count: Long, var sample: String, val spans: Array[Int],
-                            val constant: Array[Boolean]) extends Serializable {
+  private final class Entry(var count: Long, var sample: String, var onTarget: Boolean,
+                            val spans: Array[Int], val constant: Array[Boolean]) extends Serializable {
 
-    def add(s: String): Unit = {
+    def add(s: String, matched: Boolean): Unit = {
       count += 1
+      onTarget &&= matched
       narrow(s)
       if (s.compareTo(sample) < 0) sample = s
     }
 
     def merge(that: Entry): Unit = {
       count += that.count
+      onTarget &&= that.onTarget
       var r = 0
       while (r < constant.length) { constant(r) &&= that.constant(r); r += 1 }
       narrow(that.sample)
@@ -197,19 +246,20 @@ object ClusterProfile {
       })
     }
 
-    def copy: Entry = new Entry(count, sample, spans, constant.clone)
+    def copy: Entry = new Entry(count, sample, onTarget, spans, constant.clone)
 
     override def equals(other: Any): Boolean = other match {
       case that: Entry =>
-        count == that.count && sample == that.sample && Arrays.equals(constant, that.constant)
+        count == that.count && sample == that.sample && onTarget == that.onTarget &&
+          Arrays.equals(constant, that.constant)
       case _ => false
     }
 
-    override def hashCode: Int = (count, sample, Arrays.hashCode(constant)).hashCode
+    override def hashCode: Int = (count, sample, onTarget, Arrays.hashCode(constant)).hashCode
   }
 
   private object Entry {
-    def apply(s: String, spans: Array[Int]): Entry =
-      new Entry(1, s, spans, Array.fill(spans.length / 2)(true))
+    def apply(s: String, spans: Array[Int], onTarget: Boolean): Entry =
+      new Entry(1, s, onTarget, spans, Array.fill(spans.length / 2)(true))
   }
 }

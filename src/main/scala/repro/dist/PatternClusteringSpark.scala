@@ -1,35 +1,42 @@
 package repro.dist
 
-import org.apache.spark.sql.{DataFrame, Encoders}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.types._
 import repro.core._
+import scala.jdk.CollectionConverters._
 
 /** Distributed pattern clustering (§4) over a DataFrame string column.
   *
-  * Leaf clusters with constant discovery come from one `ClusterProfile`
-  * fold per partition: executors key each string by its compact leaf key
-  * and track count, least string and still-constant runs; the driver merges
-  * the partitions' profiles and builds one pattern per cluster, then the
-  * hierarchy (Algorithm 1). Only the per-pattern summaries reach the
-  * driver, never raw data beyond one string per cluster. The cluster
-  * listing (`clusterCounts`) and `withPattern` still key rows by the
-  * rendered-pattern UDF.
+  * Every result comes from one `ClusterProfile` fold per partition:
+  * executors key each string by its compact leaf key and track count,
+  * least string and still-constant runs; the driver merges the partitions'
+  * profiles and builds or renders one pattern per cluster. That yields the
+  * leaf clusters with constant discovery, then the hierarchy (Algorithm 1),
+  * and the cluster listing (`clusterCounts`). Only the per-pattern summaries
+  * reach the driver, never raw data beyond one string per cluster.
   */
 object PatternClusteringSpark {
 
-  /** Rendered-pattern UDF column (leaf tokenization, no constants). */
-  val patternUdf = udf((s: String) => if (s == null) null else Tokenizer.tokenize(s).render)
+  /** Profile of `df(col)`, recording per cluster whether every string
+    * matches one of `targets`: one job, folded per partition and merged on
+    * the driver.
+    */
+  private[dist] def profile(df: DataFrame, col: String, targets: Seq[Pattern] = Nil): ClusterProfile =
+    df.select(df(col)).as(Encoders.STRING).rdd
+      .aggregate(ClusterProfile.against(targets))(_ add _, _ merge _)
 
-  /** Add a `pattern` column to `df` (leaf pattern of `col`). */
-  def withPattern(df: DataFrame, col: String, out: String = "pattern"): DataFrame =
-    df.withColumn(out, patternUdf(df(col)))
+  private val countsSchema = StructType(Seq(
+    StructField("pattern", StringType),
+    StructField("n", LongType, nullable = false),
+    StructField("sample", StringType)))
 
-  /** Cluster listing shown for labeling (Fig. 3): pattern, count, sample. */
+  /** Cluster listing shown for labeling (Fig. 3): leaf pattern, count and
+    * least string (Spark's `min`), with a `(null, #nulls, null)` row for null
+    * cells; `n` descending, then pattern ascending (UTF-8 bytes, null first).
+    */
   def clusterCounts(df: DataFrame, col: String): DataFrame =
-    withPattern(df, col)
-      .groupBy("pattern")
-      .agg(count(lit(1)) as "n", min(df(col)) as "sample")
-      .orderBy(desc("n"), asc("pattern"))
+    df.sparkSession.createDataFrame(
+      profile(df, col).listing.map(r => Row(r.pattern, r.count, r.sample)).asJava, countsSchema)
 
   /** Leaf clusters with constant discovery, computed distributedly.
     *
@@ -37,9 +44,7 @@ object PatternClusteringSpark {
     * Patterns that collapse to the same refined pattern are merged.
     */
   def leafClusters(df: DataFrame, col: String, minSupport: Int = 2): Map[Pattern, Long] =
-    df.select(df(col)).as(Encoders.STRING).rdd
-      .aggregate(ClusterProfile.empty)(_ add _, _ merge _)
-      .clusters(minSupport)
+    profile(df, col).clusters(minSupport)
 
   /** Full clustering phase: leaf clusters → pattern cluster hierarchy. */
   def hierarchy(df: DataFrame, col: String, minSupport: Int = 2): Hierarchy.PNode =

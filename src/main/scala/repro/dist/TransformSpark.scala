@@ -1,8 +1,10 @@
 package repro.dist
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.core._
+import scala.jdk.CollectionConverters._
 
 /** Distributed application of a synthesized UniFi program (§5–6) and the
   * pattern-level verification the CLX paradigm gives the user (Fig. 2).
@@ -11,7 +13,9 @@ import repro.core._
   * `withColumn`; branch regexes are compiled lazily once per executor JVM
   * (the `Pattern.compiled` lazy val), so per-partition work is a cheap
   * match-and-extract. Records matching no branch are flagged, not dropped
-  * (§6.1 "left unchanged and flagged for additional review").
+  * (§6.1 "left unchanged and flagged for additional review"). Verification
+  * folds the output column into a `ClusterProfile` that tests each record
+  * against the targets, one job per call.
   */
 object TransformSpark {
 
@@ -51,30 +55,27 @@ object TransformSpark {
     df.withColumn(out, when(isTarget, df(col)).otherwise(chained))
   }
 
-  /** Pattern-level verification of the transformed column: cluster the
-    * output and report, per output pattern, its count and whether it is a
-    * selected target pattern — the mechanical form of the user's Fig. 2
-    * check.
-    */
-  def verifyPatterns(transformed: DataFrame, outCol: String, targets: Seq[Pattern]): DataFrame = {
-    val targetSet = targets.map(_.render).toSet
-    val isTarget = udf((p: String) => targetSet.contains(p))
-    PatternClusteringSpark.withPattern(transformed, outCol, "out_pattern")
-      .groupBy("out_pattern")
-      .agg(count(lit(1)) as "n")
-      .withColumn("is_target", isTarget(column("out_pattern")))
-      .orderBy(desc("n"), asc("out_pattern"))
-  }
+  private val verifySchema = StructType(Seq(
+    StructField("out_pattern", StringType),
+    StructField("n", LongType, nullable = false),
+    StructField("is_target", BooleanType, nullable = false)))
 
-  /** True iff every record that matched a branch now sits in a target
-    * pattern — the success criterion of a pattern-level verification pass.
+  /** Pattern-level verification of the transformed column: cluster the
+    * output and report, per output leaf pattern, its count and whether every
+    * record in it matches a selected target pattern — the mechanical form of
+    * the user's Fig. 2 check. Null outputs form a `(null, #nulls, false)`
+    * row; `n` descending, then pattern ascending (UTF-8 bytes, null first).
+    */
+  def verifyPatterns(transformed: DataFrame, outCol: String, targets: Seq[Pattern]): DataFrame =
+    transformed.sparkSession.createDataFrame(
+      PatternClusteringSpark.profile(transformed, outCol, targets).listing
+        .map(r => Row(r.pattern, r.count, r.onTarget)).asJava, verifySchema)
+
+  /** True iff every non-null output of a record that matched a branch
+    * matches a target pattern — the success criterion of a pattern-level
+    * verification pass.
     */
   def allVerified(transformed: DataFrame, outCol: String, flagCol: String,
-                  targets: Seq[Pattern]): Boolean = {
-    val targetSet = targets.map(_.render).toSet
-    PatternClusteringSpark
-      .withPattern(transformed.filter(column(flagCol)), outCol, "out_pattern")
-      .filter(!column("out_pattern").isin(targetSet.toSeq: _*))
-      .isEmpty
-  }
+                  targets: Seq[Pattern]): Boolean =
+    PatternClusteringSpark.profile(transformed.filter(column(flagCol)), outCol, targets).allOnTarget
 }

@@ -1,12 +1,13 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 import TokType._
 
-/** The one-pass cluster profile behind leaf clustering and constant
-  * discovery (§4): its compact key, its merge, and agreement with a
-  * straightforward `groupBy(tokenize)` reference.
+/** The one-pass cluster profile behind leaf clustering, constant discovery
+  * (§4) and the pattern listings: its compact key, its merge, and agreement
+  * with straightforward `groupBy(tokenize)` references.
   */
 class ClusterProfileSpec extends AnyFunSuite {
 
@@ -32,6 +33,28 @@ class ClusterProfileSpec extends AnyFunSuite {
 
   private val columns: Gen[List[String]] = Gen.choose(0, 60).flatMap(Gen.listOfN(_, strings))
 
+  /** Cells for the listings: the families above, strings with literals past
+    * ASCII (é, ～ and the surrogate pair 😀), and nulls.
+    */
+  private val cells: Gen[List[String]] = {
+    val wide = Gen.choose(0, 4).flatMap(n =>
+      Gen.listOfN(n, Gen.oneOf("a", "Z", "7", "-", "é", "～", "😀")).map(_.mkString))
+    Gen.choose(0, 60).flatMap(Gen.listOfN(_, Gen.frequency(6 -> strings, 3 -> wide, 1 -> Gen.const(null))))
+  }
+
+  /** A target with a constant and a `+`, so that strings of one leaf cluster
+    * can differ in whether they are on target, and a plain leaf target.
+    */
+  private val targets = Seq(
+    Pattern.of(Token.lit("Dr."), Token.lit(" "), Token(U, 1), Token(L, Quant.Plus)),
+    Tokenizer.tokenize("CPT127"))
+
+  private def profileOf(column: Seq[String]): ClusterProfile =
+    column.foldLeft(ClusterProfile.against(targets))(_ add _)
+
+  private def utf8Compare(a: String, b: String): Int =
+    java.util.Arrays.compareUnsigned(a.getBytes(UTF_8), b.getBytes(UTF_8))
+
   /** Leaf clusters as `groupBy(tokenize)` plus a per-position distinct count. */
   private def reference(column: Seq[String], minSupport: Int = 2): Map[Pattern, Long] =
     column.groupBy(Tokenizer.tokenize).toSeq.map { case (leaf, members) =>
@@ -51,6 +74,12 @@ class ClusterProfileSpec extends AnyFunSuite {
       val whole = ClusterProfile.of(column)
       ClusterProfile.of(a).merge(ClusterProfile.of(b)) == whole &&
         ClusterProfile.of(b).merge(ClusterProfile.of(a)) == whole
+    })
+    check(Prop.forAllNoShrink(cells, Gen.choose(0, 60)) { (column, at) =>
+      val (a, b) = column.splitAt(at)
+      val whole = profileOf(column)
+      profileOf(a).merge(profileOf(b)) == whole &&
+        profileOf(b).merge(profileOf(a)) == whole
     })
   }
 
@@ -87,8 +116,52 @@ class ClusterProfileSpec extends AnyFunSuite {
 
   test("null strings are skipped") {
     val profile = ClusterProfile.of(Seq("CPT115", null, "CPT204", null))
-    assert(profile == ClusterProfile.of(Seq("CPT115", "CPT204")))
+    assert(profile.leaves == ClusterProfile.of(Seq("CPT115", "CPT204")).leaves)
     assert(profile.clusters() == Map(Pattern.of(Token.lit("CPT"), Token(D, 3)) -> 2L))
+    assert(profile.listing.head == ClusterProfile.Listed(null, 2, null, onTarget = false))
+  }
+
+  test("listing equals a groupBy(render) reference in Spark's order") {
+    check(Prop.forAllNoShrink(cells) { column =>
+      val reference = column.groupBy(s => Option(s).map(Tokenizer.tokenize(_).render).orNull).toSeq
+        .map { case (pattern, members) =>
+          val present = members.filter(_ != null)
+          ClusterProfile.Listed(pattern, members.size.toLong, present.reduceOption((a, b) =>
+            if (utf8Compare(a, b) <= 0) a else b).orNull,
+            pattern != null && present.forall(s => targets.exists(_.matches(s))))
+        }
+        .sortWith { (a, b) =>
+          if (a.count != b.count) a.count > b.count
+          else a.pattern == null || (b.pattern != null && utf8Compare(a.pattern, b.pattern) < 0)
+        }
+      val profile = profileOf(column)
+      profile.listing == reference &&
+        profile.allOnTarget == column.filter(_ != null).forall(s => targets.exists(_.matches(s)))
+    }, tests = 1000)
+  }
+
+  test("within a leaf cluster compareTo agrees with UTF-8 byte order") {
+    // A leaf template: literals (some past the BMP or high in it) and class runs.
+    val segment: Gen[Either[String, (String, Int)]] = Gen.oneOf(
+      Gen.oneOf("-", " ", "é", "～", "\uFFFD", "😀", "𝔸").map(Left(_)),
+      Gen.zip(Gen.oneOf("0123456789", "abcdefghijklmnopqrstuvwxyz", "ABCDEFGHIJKLMNOPQRSTUVWXYZ"),
+        Gen.choose(1, 3)).map(Right(_)))
+    def fill(template: List[Either[String, (String, Int)]]): Gen[String] =
+      Gen.sequence[List[String], String](template.map {
+        case Left(lit)         => Gen.const(lit)
+        case Right((chars, n)) => Gen.listOfN(n, Gen.oneOf(chars)).map(_.mkString)
+      }).map(_.mkString)
+    val pairs = for {
+      template <- Gen.choose(0, 6).flatMap(Gen.listOfN(_, segment))
+      s <- fill(template)
+      t <- fill(template)
+    } yield (s, t)
+    check(Prop.forAllNoShrink(pairs) { case (s, t) =>
+      Tokenizer.tokenize(s) == Tokenizer.tokenize(t) &&
+        Integer.signum(s.compareTo(t)) == Integer.signum(utf8Compare(s, t))
+    }, tests = 2000)
+    // across leaf clusters the two orders can disagree
+    assert("～".compareTo("😀") > 0 && utf8Compare("～", "😀") < 0)
   }
 
   test("keys agree exactly when leaf patterns agree") {

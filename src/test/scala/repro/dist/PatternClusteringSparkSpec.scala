@@ -4,9 +4,9 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core._
 
-/** Distributed clustering (§4) over DataFrames: withColumn tokenization
-  * UDF, groupBy pattern counts, the per-partition cluster profile with
-  * constant discovery, hierarchy.
+/** Distributed clustering (§4) over DataFrames: the per-partition cluster
+  * profile behind the cluster listing, constant discovery and the hierarchy;
+  * the listings against DuckDB and against Spark's own groupBy/orderBy.
   */
 class PatternClusteringSparkSpec extends SparkSpec {
 
@@ -16,9 +16,49 @@ class PatternClusteringSparkSpec extends SparkSpec {
     strings.toDF("s")
   }
 
-  test("withPattern adds the rendered leaf pattern per record") {
-    val out = PatternClusteringSpark.withPattern(df(Seq("Bob123", "x-y")), "s").collect()
-    val m = out.map(r => r.getString(0) -> r.getString(1)).toMap
+  /** The listings as Spark's groupBy/orderBy over a rendered-pattern UDF:
+    * the reference the profile-built listings must equal.
+    */
+  private val renderUdf = udf((s: String) => if (s == null) null else Tokenizer.tokenize(s).render)
+
+  private def referenceCounts(data: DataFrame): DataFrame =
+    data.withColumn("pattern", renderUdf(col("s")))
+      .groupBy("pattern")
+      .agg(count(lit(1)) as "n", min(col("s")) as "sample")
+      .orderBy(desc("n"), asc("pattern"))
+
+  private def referenceVerify(data: DataFrame, targets: Seq[Pattern]): DataFrame = {
+    val targetSet = targets.map(_.render).toSet
+    val isTarget = udf((p: String) => targetSet.contains(p))
+    data.withColumn("out_pattern", renderUdf(col("s")))
+      .groupBy("out_pattern")
+      .agg(count(lit(1)) as "n")
+      .withColumn("is_target", isTarget(col("out_pattern")))
+      .orderBy(desc("n"), asc("out_pattern"))
+  }
+
+  /** Cells from a few leaf templates, each repeated 1–3 times so that counts
+    * tie, plus nulls; literals past ASCII (é, ～ and the surrogate pair 😀)
+    * make UTF-8 byte order and `String.compareTo` disagree between patterns.
+    */
+  private def tiedCells(seed: Int): Seq[String] = {
+    val rnd = new scala.util.Random(seed)
+    def fill(template: String) = template.map {
+      case '9' => "0123456789"(rnd.nextInt(10))
+      case 'a' => "abcxyz"(rnd.nextInt(6))
+      case 'A' => "ABCXYZ"(rnd.nextInt(6))
+      case c   => c
+    }
+    val templates =
+      Seq("999-9999", "99.99", "aa～9", "aa😀9", "Aé", "A～", "A😀", "a", "9", "", "-", "Aaa 99")
+    val cells = templates.flatMap(t => Seq.fill(1 + rnd.nextInt(3))(fill(t))) ++
+      Seq.fill(1 + rnd.nextInt(3))(null)
+    rnd.shuffle(cells)
+  }
+
+  test("clusterCounts renders each record's leaf pattern") {
+    val out = PatternClusteringSpark.clusterCounts(df(Seq("Bob123", "x-y")), "s").collect()
+    val m = out.map(r => r.getString(2) -> r.getString(0)).toMap
     assert(m("Bob123") == Tokenizer.tokenize("Bob123").render)
     assert(m("x-y") == Tokenizer.tokenize("x-y").render)
   }
@@ -31,14 +71,36 @@ class PatternClusteringSparkSpec extends SparkSpec {
   }
 
   test("clusterCounts agrees with the DuckDB oracle") {
-    val data = df(Seq("1-2", "3-4", "5.6", "ab", "cd", "ef"))
-    val withPat = PatternClusteringSpark.withPattern(data, "s")
-    val sparkCounts = withPat.groupBy("pattern").agg(count(lit(1)) as "n")
-    Oracle.assertEquivalent(
-      sparkCounts,
-      "SELECT pattern, count(*) AS n FROM pats GROUP BY pattern",
-      "pats" -> withPat,
-    )
+    import spark.implicits._
+    val cells = Seq("1-2", "3-4", "5.6", "ab", "cd", "ef", null, "Bé", "Aé", "x～1", "y😀2", "z～3",
+      "w😀4", null, "～", "😀", "é")
+    val pats = cells.map(s => (s, Option(s).map(Tokenizer.tokenize(_).render).orNull)).toDF("s", "pattern")
+    val sql = "SELECT pattern, count(*) AS n, min(s) AS sample FROM pats GROUP BY pattern " +
+      "ORDER BY n DESC, pattern ASC NULLS FIRST"
+    val expected = Oracle.rows(sql, "pats" -> pats).map(_.toSeq.map(String.valueOf))
+    Seq(1, 7).foreach { n =>
+      val counts = PatternClusteringSpark.clusterCounts(cells.toDF("s").repartition(n), "s")
+      Oracle.assertEquivalent(counts, sql, "pats" -> pats)
+      assert(counts.collect().toSeq.map(_.toSeq.map(String.valueOf)) == expected, s"row order, $n partitions")
+    }
+  }
+
+  test("the listings equal Spark's groupBy/orderBy at 1 and 7 partitions") {
+    import spark.implicits._
+    (1 to 5).foreach { seed =>
+      val cells = tiedCells(seed)
+      val targets = Seq(Tokenizer.tokenize("AB"), Tokenizer.tokenize("ab～1"), Tokenizer.tokenize("Aé"))
+      Seq(1, 7).foreach { n =>
+        val data = cells.toDF("s").repartition(n)
+        Seq(
+          PatternClusteringSpark.clusterCounts(data, "s") -> referenceCounts(data),
+          TransformSpark.verifyPatterns(data, "s", targets) -> referenceVerify(data, targets),
+        ).foreach { case (got, expected) =>
+          assert(got.schema == expected.schema, s"seed $seed, $n partitions")
+          assert(got.collect().toSeq == expected.collect().toSeq, s"seed $seed, $n partitions")
+        }
+      }
+    }
   }
 
   test("leafClusters runs constant discovery distributedly") {
@@ -91,12 +153,12 @@ class PatternClusteringSparkSpec extends SparkSpec {
     assert(viaSpark.count == viaLocal.count)
   }
 
-  test("null values are ignored by the pattern UDF") {
+  test("clusterCounts lists null values in a row of their own") {
     import spark.implicits._
     val data = Seq(Some("ab"), None, Some("cd")).toDF("s")
-    val out = PatternClusteringSpark.withPattern(data, "s")
-      .filter(col("pattern").isNotNull).count()
-    assert(out == 2)
+    val rows = PatternClusteringSpark.clusterCounts(data, "s").collect()
+      .map(r => (r.getString(0), r.getLong(1), r.getString(2)))
+    assert(rows.toSeq == Seq((Tokenizer.tokenize("ab").render, 2L, "ab"), (null, 1L, null)))
   }
 
   test("clustering scales over generated messy phones (SF unit-test size)") {

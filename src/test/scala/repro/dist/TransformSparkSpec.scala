@@ -55,6 +55,38 @@ class TransformSparkSpec extends SparkSpec {
     assert(!TransformSpark.allVerified(t, "transformed", "matched", Seq(target)))
   }
 
+  test("verification accepts a target that carries a constant") {
+    val cpt = Synthesizer.leafClusters(Seq("CPT115", "CPT204", "CPT987")).keys.toVector
+    assert(cpt.map(_.render) == Vector("'CPT'<D>3"))
+    val t = TransformSpark.transform(df(Seq("CPT115", "CPT204", "CPT987")), "s", Program(cpt, prog.branches))
+    assert(t.filter(col("matched")).count() == 3)
+    assert(TransformSpark.allVerified(t, "transformed", "matched", cpt))
+    val v = TransformSpark.verifyPatterns(t, "transformed", cpt).collect()
+    assert(v.map(r => (r.getString(0), r.getLong(1), r.getBoolean(2))).toSeq == Seq(("<U>3<D>3", 3L, true)))
+  }
+
+  test("verification accepts a target with '+' quantifiers") {
+    // Table 3's target
+    val bracketed = Pattern.of(Token.lit("["), Token(TokType.U, Quant.Plus), Token.lit("-"),
+      Token(TokType.D, Quant.Plus), Token.lit("]"))
+    val t = TransformSpark.transform(df(Seq("[CPT-00350]", "[MRI-1]", "CPT-00350")), "s",
+      Program(Vector(bracketed), Vector.empty))
+    assert(TransformSpark.allVerified(t, "transformed", "matched", Seq(bracketed)))
+    val v = TransformSpark.verifyPatterns(t, "transformed", Seq(bracketed)).collect()
+    assert(v.map(r => (r.getString(0), r.getBoolean(2))).toSet ==
+      Set(("'['<U>3'-'<D>5']'", true), ("'['<U>3'-'<D>1']'", true), ("<U>3'-'<D>5", false)))
+  }
+
+  test("allVerified skips null outputs and verifyPatterns lists them") {
+    import spark.implicits._
+    val t = TransformSpark.transform(Seq(Some("201.555.0100"), None).toDF("s"), "s", prog)
+      .withColumn("matched", lit(true))
+    assert(TransformSpark.allVerified(t, "transformed", "matched", Seq(target)))
+    val v = TransformSpark.verifyPatterns(t, "transformed", Seq(target)).collect()
+    assert(v.map(r => (r.getString(0), r.getLong(1), r.getBoolean(2))).toSeq ==
+      Seq((null, 1L, false), (target.render, 1L, true)))
+  }
+
   test("oracle: UDF transform equals DuckDB regexp_replace of the explanation") {
     val replace = RegexExplain.explain(prog.branches.head)
     val data = df(Seq("201.555.0100", "944.123.9876", "000.111.2222"))
