@@ -19,7 +19,9 @@ import java.util.{Arrays, HashMap => JHashMap}
   * a `Pattern` is built once per cluster, by `clusters`/`leaves`. A leaf
   * pattern fixes every token's offset, so a record checks the runs still
   * constant with `String.regionMatches` against the cluster's least string
-  * and allocates no substrings.
+  * and allocates no substrings. When every target is decided by the leaf
+  * pattern (`Pattern.decidedByLeafKey`), only a cluster's first string is
+  * tested against the targets.
   *
   * `add` and `merge` update this profile in place and return it. `merge` is
   * commutative and associative, so partitions can be folded independently
@@ -32,6 +34,9 @@ final class ClusterProfile private (private val targets: Seq[Pattern],
   import ClusterProfile._
 
   private var nulls = 0L
+
+  /** Whether every string of a cluster is on target iff its first one is. */
+  private[this] val targetsByKey = targets.forall(_.decidedByLeafKey)
 
   // Per-record buffers: the key being built and the class runs' offsets.
   @transient private[this] var keyBuf: java.lang.StringBuilder = _
@@ -46,13 +51,14 @@ final class ClusterProfile private (private val targets: Seq[Pattern],
       keyBuf.setLength(0)
       val runs = encode(s, keyBuf, spans)
       val key = keyBuf.toString
-      val onTarget = targets.exists(_.matches(s))
       val e = entries.get(key)
-      if (e == null) entries.put(key, Entry(s, Arrays.copyOf(spans, 2 * runs), onTarget))
-      else e.add(s, onTarget)
+      if (e == null) entries.put(key, Entry(s, Arrays.copyOf(spans, 2 * runs), onTarget(s)))
+      else e.add(s, if (targetsByKey) e.onTarget else onTarget(s))
     }
     this
   }
+
+  private def onTarget(s: String): Boolean = targets.exists(_.matches(s))
 
   /** Fold `that` into this profile; `that` is left unchanged. */
   def merge(that: ClusterProfile): ClusterProfile = {
@@ -93,7 +99,7 @@ final class ClusterProfile private (private val targets: Seq[Pattern],
     val rows = Vector.newBuilder[(Listed, Array[Byte])]
     if (nulls > 0) rows += Listed(null, nulls, null, onTarget = false) -> null
     entries.forEach { (key, e) =>
-      val pattern = leafPattern(key).render
+      val pattern = render(key)
       rows += Listed(pattern, e.count, e.sample, e.onTarget) -> pattern.getBytes(UTF_8)
     }
     rows.result().sorted(listingOrder).map(_._1)
@@ -137,16 +143,17 @@ object ClusterProfile {
     if (byCount != 0) byCount else Arrays.compareUnsigned(a._2, b._2)
   }
 
-  /** Key tag of a literal character; class runs are tagged with their
-    * `Tokenizer.classIndex` (0–2).
+  /** Key tags of a literal character and of a literal surrogate pair; class
+    * runs are tagged with their `Tokenizer.classIndex` (0–2).
     */
   private val LitTag = 3.toChar
+  private val PairTag = 4.toChar
 
   /** Compact key of `s`'s leaf pattern: per class run its tag and its length
-    * in two chars (high and low 16 bits), per literal character `LitTag` and
-    * the character. Every tag fixes the width of what follows it, so the key
-    * decodes back to exactly one pattern (`leafPattern`): two strings share a
-    * key iff they share a leaf pattern.
+    * in two chars (high and low 16 bits), per literal token `LitTag` and the
+    * character or `PairTag` and the surrogate pair. Every tag fixes the width
+    * of what follows it, so the key decodes back to exactly one pattern
+    * (`leafPattern`): two strings share a key iff they share a leaf pattern.
     */
   def key(s: String): String = {
     val sb = new java.lang.StringBuilder
@@ -154,26 +161,28 @@ object ClusterProfile {
     sb.toString
   }
 
-  /** Append `s`'s key to `key`, write each class run's start and end offset
-    * into `spans` (room for `2 * s.length`), and return the number of runs.
+  /** Append `s`'s key to `key` and return the number of class runs; unless
+    * `spans` is null, also write each run's start and end offset into it
+    * (room for `2 * s.length`).
     */
-  private def encode(s: String, key: java.lang.StringBuilder, spans: Array[Int]): Int = {
+  private[core] def encode(s: String, key: java.lang.StringBuilder, spans: Array[Int]): Int = {
     var runs = 0
     var i = 0
     val n = s.length
     while (i < n) {
-      val c = s.charAt(i)
-      val cls = Tokenizer.classIndex(c)
+      val cls = Tokenizer.classIndex(s.charAt(i))
       if (cls < 0) {
-        key.append(LitTag).append(c)
-        i += 1
+        if (Tokenizer.literalEnd(s, i) == i + 1) { key.append(LitTag).append(s.charAt(i)); i += 1 }
+        else { key.append(PairTag).append(s.charAt(i)).append(s.charAt(i + 1)); i += 2 }
       } else {
         var j = i + 1
         while (j < n && Tokenizer.classIndex(s.charAt(j)) == cls) j += 1
         val len = j - i
         key.append(cls.toChar).append((len >>> 16).toChar).append(len.toChar)
-        spans(2 * runs) = i
-        spans(2 * runs + 1) = j
+        if (spans != null) {
+          spans(2 * runs) = i
+          spans(2 * runs + 1) = j
+        }
         runs += 1
         i = j
       }
@@ -181,22 +190,39 @@ object ClusterProfile {
     runs
   }
 
+  /** Number of key chars after tag `tag`. */
+  private def width(tag: Char): Int = if (tag < LitTag) 2 else tag - LitTag + 1
+
+  private def runLength(key: String, i: Int): Int = (key.charAt(i + 1) << 16) | key.charAt(i + 2)
+
   /** The leaf pattern a key encodes. */
   def leafPattern(key: String): Pattern = {
     val out = Vector.newBuilder[Token]
     var i = 0
     while (i < key.length) {
       val tag = key.charAt(i)
-      if (tag == LitTag) {
-        out += Token.lit(key.charAt(i + 1).toString)
-        i += 2
-      } else {
-        out += Token(Tokenizer.leafClasses(tag), (key.charAt(i + 1) << 16) | key.charAt(i + 2))
-        i += 3
-      }
+      out += (if (tag < LitTag) Token(Tokenizer.leafClasses(tag), runLength(key, i))
+              else Token.lit(key.substring(i + 1, i + 1 + width(tag))))
+      i += 1 + width(tag)
     }
     Pattern(out.result())
   }
+
+  /** `leafPattern(key).render`, written straight from the key. */
+  private def render(key: String): String = {
+    val out = new java.lang.StringBuilder(2 * key.length)
+    var i = 0
+    while (i < key.length) {
+      val tag = key.charAt(i)
+      if (tag < LitTag) out.append(RunOpen(tag)).append(runLength(key, i))
+      else out.append('\'').append(key, i + 1, i + 1 + width(tag)).append('\'')
+      i += 1 + width(tag)
+    }
+    out.toString
+  }
+
+  /** `Token.render` of a class run without its length, by class tag. */
+  private val RunOpen = Array("<D>", "<L>", "<U>")
 
   /** One cluster's summary. `spans` holds the start and end offset of each
     * class run, `constant(r)` whether run `r` held the same substring in

@@ -151,12 +151,34 @@ final case class Pattern(tokens: Vector[Token]) {
   /** Does `s` exactly match this pattern? */
   def matches(s: String): Boolean = compiled.matcher(s).matches()
 
+  /** A matcher of the anchored regex over `s`; group `k` is token `k`. */
+  private[core] def matcher(s: String): Matcher = compiled.matcher(s)
+
   /** Split `s` into per-token substrings, if it matches this pattern. */
   def split(s: String): Option[Vector[String]] = {
-    val m: Matcher = compiled.matcher(s)
+    val m = matcher(s)
     if (!m.matches()) None
     else Some((1 to tokens.size).map(m.group).toVector)
   }
+
+  /** Whether all strings of one leaf pattern get the same answer from
+    * `matches` and the same token offsets from `split`: no literal holds an
+    * ASCII letter or digit. Such strings differ only inside class runs, where
+    * every Table 2 class and every quoted non-alphanumeric literal tests
+    * each character alike; an alphanumeric constant such as `'CPT'` tests
+    * the characters themselves.
+    */
+  def decidedByLeafKey: Boolean =
+    tokens.forall(_.literalValue.forall(_.forall(Tokenizer.classIndex(_) < 0)))
+
+  /** This pattern with every literal that holds a letter or digit replaced
+    * by its own leaf tokens (`'CPT'` by `<U>3`, `'Dr.'` by `<U>1<L>1'.'`):
+    * decided by the leaf pattern, and matched by every string this pattern
+    * matches.
+    */
+  def relaxed: Pattern =
+    if (decidedByLeafKey) this
+    else Pattern(tokens.flatMap(t => t.literalValue.fold(Vector(t))(Tokenizer.tokenize(_).tokens)))
 
   /** Merge adjacent tokens of the same base class (post-generalization).
     * Adjacent identical-value literals are NOT merged here (tokenization

@@ -3,7 +3,10 @@ package repro.core
 /** §4.1 tokenization.
   *
   * Rules (verbatim from the paper):
-  *   - each non-alphanumeric character is an individual literal token;
+  *   - each non-alphanumeric character is an individual literal token (a
+  *     character outside the BMP, a UTF-16 surrogate pair, is one token, so
+  *     that the token's quoted regex matches it: Java regex matches by code
+  *     point);
   *   - alphanumeric runs use the most precise base type (`<D>`, `<L>`,
   *     `<U>` — never `<A>`/`<AN>` at this stage);
   *   - quantifiers are natural numbers (run lengths).
@@ -23,6 +26,13 @@ object Tokenizer {
     else if (c >= 'A' && c <= 'Z') 2
     else -1
 
+  /** End of the literal token that starts at `i` in `s`: past a surrogate
+    * pair, else past one character.
+    */
+  private[core] def literalEnd(s: String, i: Int): Int =
+    if (Character.isHighSurrogate(s.charAt(i)) && i + 1 < s.length && Character.isLowSurrogate(s.charAt(i + 1))) i + 2
+    else i + 1
+
   /** Tokenize a string into its leaf pattern. The empty string maps to the
     * empty pattern (a cluster of its own).
     */
@@ -34,8 +44,9 @@ object Tokenizer {
       val c = s.charAt(i)
       val cls = classIndex(c)
       if (cls < 0) {
-        out += Token.lit(c.toString)
-        i += 1
+        val end = literalEnd(s, i)
+        out += Token.lit(if (end == i + 1) c.toString else s.substring(i, end))
+        i = end
       } else {
         var j = i + 1
         while (j < n && classIndex(s.charAt(j)) == cls) j += 1

@@ -57,23 +57,131 @@ object UniFi {
     */
   final case class Program(targets: Vector[Pattern], branches: Vector[Branch]) {
 
+    @transient private[core] lazy val dispatcher = new Dispatcher(targets, branches, MemoCap)
+
     /** Transform `s`; `None` means "no branch matched — flag for review". */
-    def apply(s: String): Option[String] = {
-      if (targets.exists(_.matches(s))) return Some(s)
-      branches.iterator
-        .map(b => b.pattern.split(s).flatMap(b.plan.eval))
-        .collectFirst { case Some(out) => out }
-    }
+    def apply(s: String): Option[String] = Option(dispatcher(s))
 
     /** Transform with the flag surfaced: (output, matchedSomeBranch). */
-    def applyFlagged(s: String): (String, Boolean) =
-      apply(s) match {
-        case Some(out) => (out, true)
-        case None      => (s, false)
-      }
+    def applyFlagged(s: String): (String, Boolean) = {
+      val out = dispatcher(s)
+      if (out == null) (s, false) else (out, true)
+    }
 
     def render: String =
       branches.map(b => s"Match(${b.pattern.render}) => ${b.plan.render}")
         .mkString("Switch(\n  ", ",\n  ", "\n)")
   }
+
+  /** Most leaf keys one program remembers. */
+  private[core] val MemoCap = 1 << 16
+
+  /** The key buffer of the calling thread. */
+  private val keyBuf = ThreadLocal.withInitial[java.lang.StringBuilder](() => new java.lang.StringBuilder)
+
+  /** `Program` application, dispatched on the input's leaf key
+    * (`ClusterProfile.key`).
+    *
+    * The program's patterns are tried in order, targets first, then
+    * branches. On the first string with a given key the regexes decide each
+    * pattern, and the outcome is remembered for the key: a pattern decided by
+    * the leaf pattern (`Pattern.decidedByLeafKey`) matches every string of
+    * the key or none, with the same token offsets. A pattern that is not is
+    * skipped for the key when its `relaxed` form does not match, since then
+    * it matches no string of the key; otherwise its regex runs on every
+    * string of the key. Later strings cost a key scan, a hash lookup, those
+    * regexes, and one `append` per plan operation.
+    *
+    * A branch whose plan extracts past its pattern never yields an output.
+    * Safe to call from several threads. The memo stops growing at `cap` keys
+    * (threads that pass the check at once may each add one more).
+    */
+  private[core] final class Dispatcher(targets: Vector[Pattern], branches: Vector[Branch], cap: Int) {
+    private val patterns = (targets ++ branches.map(_.pattern)).toArray
+    private val decided = patterns.map(_.decidedByLeafKey)
+    private val relaxed = patterns.map(_.relaxed)
+    private val nTargets = targets.size
+    private val plans = branches.map(_.plan.exprs.toArray).toArray
+    private val usable = Array.tabulate(patterns.length) { p =>
+      p < nTargets || plans(p - nTargets).forall {
+        case Extract(_, j) => j <= patterns(p).size
+        case _             => true
+      }
+    }
+    private val memo = new java.util.concurrent.ConcurrentHashMap[String, Route]
+
+    /** The output for `s`, or null if no pattern matches it. */
+    def apply(s: String): String = {
+      val buf = keyBuf.get
+      buf.setLength(0)
+      ClusterProfile.encode(s, buf, null)
+      val key = buf.toString
+      var route = memo.get(key)
+      if (route == null) {
+        route = routeOf(s)
+        if (memo.size < cap) memo.putIfAbsent(key, route)
+      }
+      var k = 0
+      while (k < route.tries.length) {
+        val p = route.tries(k)
+        if (p < nTargets) { if (patterns(p).matches(s)) return s }
+        else {
+          val m = patterns(p).matcher(s)
+          if (m.matches()) return eval(p, s, bounds(m))
+        }
+        k += 1
+      }
+      if (route.outcome < 0) null
+      else if (route.outcome < nTargets) s
+      else eval(route.outcome, s, route.bounds)
+    }
+
+    /** Number of keys remembered. */
+    private[core] def memoSize: Int = memo.size
+
+    private def routeOf(s: String): Route = {
+      val tries = Array.newBuilder[Int]
+      var p = 0
+      while (p < patterns.length) {
+        if (usable(p)) {
+          if (!decided(p)) { if (relaxed(p).matches(s)) tries += p }
+          else {
+            val m = patterns(p).matcher(s)
+            if (m.matches()) return new Route(tries.result(), p, if (p < nTargets) null else bounds(m))
+          }
+        }
+        p += 1
+      }
+      new Route(tries.result(), -1, null)
+    }
+
+    /** Token boundaries of a match: token `k` spans `b(k - 1)` to `b(k)`. */
+    private def bounds(m: java.util.regex.Matcher): Array[Int] = {
+      val b = new Array[Int](m.groupCount + 1)
+      var g = 1
+      while (g < b.length) { b(g) = m.end(g); g += 1 }
+      b
+    }
+
+    private def eval(p: Int, s: String, b: Array[Int]): String = {
+      val plan = plans(p - nTargets)
+      val out = new java.lang.StringBuilder(s.length + 16)
+      var k = 0
+      while (k < plan.length) {
+        plan(k) match {
+          case ConstStr(c)   => out.append(c)
+          case Extract(i, j) => out.append(s, b(i - 1), b(j))
+        }
+        k += 1
+      }
+      out.toString
+    }
+  }
+
+  /** What a key's strings go through: the regexes of `tries` (pattern
+    * indices, targets first) in order, then `outcome` — the index of the
+    * pattern every one of them matches, with token boundaries `bounds` for a
+    * branch, or -1 for none.
+    */
+  private final class Route(val tries: Array[Int], val outcome: Int, val bounds: Array[Int])
 }

@@ -10,12 +10,14 @@ import scala.jdk.CollectionConverters._
   * pattern-level verification the CLX paradigm gives the user (Fig. 2).
   *
   * The program is captured in a UDF closure applied per record via
-  * `withColumn`; branch regexes are compiled lazily once per executor JVM
-  * (the `Pattern.compiled` lazy val), so per-partition work is a cheap
-  * match-and-extract. Records matching no branch are flagged, not dropped
-  * (§6.1 "left unchanged and flagged for additional review"). Verification
-  * folds the output column into a `ClusterProfile` that tests each record
-  * against the targets, one job per call.
+  * `withColumn`. The closure is deserialized once per task, so each task
+  * compiles the branch regexes (the `Pattern.compiled` lazy val) and builds
+  * the program's leaf-key dispatcher (`UniFi.Program`) afresh; within a task
+  * most records cost a key scan, a hash lookup and the plan's appends.
+  * Records matching no branch are flagged, not dropped (§6.1 "left unchanged
+  * and flagged for additional review"). Verification folds the output column
+  * into a `ClusterProfile` that tests its records against the targets (once
+  * per cluster when the leaf pattern decides them), one scan per call.
   */
 object TransformSpark {
 
@@ -73,9 +75,11 @@ object TransformSpark {
 
   /** True iff every non-null output of a record that matched a branch
     * matches a target pattern — the success criterion of a pattern-level
-    * verification pass.
+    * verification pass. The output and flag columns are read in one scan
+    * (a filter on the flag would be pushed below the program's UDF and run
+    * the program twice per row).
     */
   def allVerified(transformed: DataFrame, outCol: String, flagCol: String,
                   targets: Seq[Pattern]): Boolean =
-    PatternClusteringSpark.profile(transformed.filter(column(flagCol)), outCol, targets).allOnTarget
+    PatternClusteringSpark.profile(transformed, outCol, targets, where = Some(flagCol)).allOnTarget
 }

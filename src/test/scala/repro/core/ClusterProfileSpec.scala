@@ -182,14 +182,25 @@ class ClusterProfileSpec extends AnyFunSuite {
   }
 
   test("literal characters equal to key tags stay distinct") {
-    val alphabet = Seq('\u0000', '\u0001', '\u0002', '\u0003', '0', 'a', 'A')
+    val alphabet = Seq('\u0000', '\u0001', '\u0002', '\u0003', '\u0004', '0', 'a', 'A')
     val all = (0 to 3).flatMap(n => Seq.fill(n)(alphabet).foldLeft(Seq(""))((acc, cs) =>
       for (s <- acc; c <- cs) yield s + c))
-    assert(all.size == 1 + 7 + 49 + 343)
+    assert(all.size == 1 + 8 + 64 + 512)
     all.foreach { s =>
       assert(ClusterProfile.leafPattern(ClusterProfile.key(s)) == Tokenizer.tokenize(s), s.map(_.toInt))
     }
     assert(all.map(ClusterProfile.key).distinct.size == all.map(Tokenizer.tokenize).distinct.size)
+  }
+
+  test("a surrogate pair is one literal in the key, a lone surrogate one character") {
+    val parts = Seq("😀", "𝔸", "\uD83D", "\uDE00", "é", "\u0004", "7", "a")
+    val all = (0 to 3).flatMap(n => Seq.fill(n)(parts).foldLeft(Seq(""))((acc, ps) =>
+      for (s <- acc; p <- ps) yield s + p))
+    all.foreach { s =>
+      assert(ClusterProfile.leafPattern(ClusterProfile.key(s)) == Tokenizer.tokenize(s), s.map(_.toInt))
+    }
+    assert(all.map(ClusterProfile.key).distinct.size == all.map(Tokenizer.tokenize).distinct.size)
+    assert(ClusterProfile.of(Seq("a😀", "b😀")).listing.map(_.pattern) == Seq("<L>1'😀'"))
   }
 
   test("the empty string has a key and a cluster") {

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
+
 import org.scalatest.funsuite.AnyFunSuite
 import TokType._
 
@@ -94,4 +96,27 @@ class TokenizerSpec extends AnyFunSuite {
   }
 
   test("digits with leading zeros") { assert(pat("007") == "<D>3") }
+
+  test("a character outside the BMP is one literal token that matches it") {
+    assert(Tokenizer.tokenize("a😀").tokens == Vector(Token(TokType.L, 1), Token.lit("😀")))
+    assert(Tokenizer.tokenize("a😀").matches("a😀"))
+    assert(pat("😀𝔸-😀") == "'😀''𝔸''-''😀'")
+    // a lone surrogate stays a token of its own
+    assert(Tokenizer.tokenize("\uD83Dx\uDE00").tokens.map(_.literalValue) ==
+      Vector(Some("\uD83D"), None, Some("\uDE00")))
+  }
+
+  test("strings with surrogates match their own pattern and render no lone surrogate") {
+    val r = new scala.util.Random(17)
+    val alphabet = Seq("a", "B", "7", "-", "é", "😀", "𝔸", "\uD83D", "\uDE00")
+    (1 to 500).foreach { _ =>
+      val s = Seq.fill(r.nextInt(8))(alphabet(r.nextInt(alphabet.size))).mkString
+      val p = Tokenizer.tokenize(s)
+      assert(p.matches(s), s"'$s' should match its own pattern ${p.render}")
+      assert(Tokenizer.tokenizeWithValues(s)._2.mkString == s)
+      // UTF-8 round-trips a string iff it holds no lone surrogate
+      def wellFormed(t: String) = new String(t.getBytes(UTF_8), UTF_8) == t
+      if (wellFormed(s)) assert(wellFormed(p.render), s"pattern of '$s': ${p.render}")
+    }
+  }
 }

@@ -49,6 +49,22 @@ class TransformSparkSpec extends SparkSpec {
     assert(TransformSpark.allVerified(t, "transformed", "matched", Seq(target)))
   }
 
+  test("allVerified runs the program once per row") {
+    // a UDF shaped like `transform`'s that counts its calls
+    val calls = spark.sparkContext.longAccumulator("program calls")
+    val program = prog // a local, so the closure does not capture the suite
+    val counted = udf { (s: String) => calls.add(1); program.applyFlagged(s) }
+    val rows = Seq("201.555.0100", "202.555.0100", "(201) 555-0100", "N/A")
+    // not a local relation, which the optimizer would evaluate on the driver
+    val data = df(rows).repartition(2)
+    val t = data.withColumn("_clx", counted(data("s")))
+      .withColumn("transformed", col("_clx._1"))
+      .withColumn("matched", col("_clx._2"))
+      .drop("_clx")
+    assert(TransformSpark.allVerified(t, "transformed", "matched", Seq(target)))
+    assert(calls.sum == rows.size)
+  }
+
   test("allVerified fails for a broken program") {
     val bad = Program(Vector(target), Vector(Branch(src, Plan(Vector(Extract(1))))))
     val t = TransformSpark.transform(df(Seq("201.555.0100")), "s", bad)
