@@ -1,51 +1,58 @@
 package repro.core
 
-import UniFi.{ConstStr, Extract, Plan, StringExpr}
+import UniFi.{ConstStr, Extract, Plan}
 
 /** Appendix B: equivalent-plan detection and deduplication.
   *
   * Two plans are equivalent (Definition 6.2) iff, for the given source
-  * pattern, they always yield the same output. Detection:
-  *   1. split every `Extract(m,n)` into singleton extracts;
-  *   2. compare op-by-op; ops match when identical, or when one is an
-  *      Extract of a *constant-valued* source token whose content equals
-  *      the other's ConstStr.
+  * pattern, they always yield the same output. A plan's output is the
+  * concatenation of its ops' pieces, so it is fixed by its canonical word
+  * over the source: every `Extract(i,j)` atomized into tokens i..j, an
+  * extracted literal token written as its characters, any other extracted
+  * token as its index, and a `ConstStr` as its characters. Two plans are
+  * equivalent iff their words are equal: a class token's value varies
+  * independently of every other token, so no two different words agree on
+  * every string of the source.
   */
 object Dedup {
 
-  private def atomize(plan: Plan): Vector[StringExpr] =
-    plan.exprs.flatMap {
-      case Extract(i, j) => (i to j).map(k => Extract(k, k))
-      case c             => Vector(c)
-    }
+  /** Escape char of a word: `Esc Esc` is a literal `Esc`; `Esc`, then
+    * `(index >>> 16) + 1` (never `Esc`) and `index & 0xFFFF` is a token index.
+    */
+  private final val Esc = '\u0000'
 
-  private def opsEqual(a: StringExpr, b: StringExpr, source: Pattern): Boolean =
-    (a, b) match {
-      case (x, y) if x == y => true
-      case (Extract(i, j), ConstStr(s)) if i == j =>
-        source.tokens.lift(i - 1).flatMap(_.literalValue).contains(s)
-      case (ConstStr(s), Extract(i, j)) if i == j =>
-        source.tokens.lift(i - 1).flatMap(_.literalValue).contains(s)
-      case _ => false
+  /** The canonical word of `plan` over `source`. */
+  private def word(plan: Plan, source: Pattern): String = {
+    val w = new java.lang.StringBuilder
+    def chars(s: String): Unit =
+      s.foreach(c => if (c == Esc) w.append(Esc).append(Esc) else w.append(c))
+    plan.exprs.foreach {
+      case ConstStr(s) => chars(s)
+      case Extract(i, j) =>
+        for (k <- i to j) source.tokens(k - 1).literalValue match {
+          case Some(v) => chars(v)
+          case None    => w.append(Esc).append(((k >>> 16) + 1).toChar).append((k & 0xFFFF).toChar)
+        }
     }
+    w.toString
+  }
 
   /** Are `p1` and `p2` equivalent w.r.t. `source`? */
-  def equivalent(p1: Plan, p2: Plan, source: Pattern): Boolean = {
-    val a = atomize(p1); val b = atomize(p2)
-    a.size == b.size && a.indices.forall(k => opsEqual(a(k), b(k), source))
-  }
+  def equivalent(p1: Plan, p2: Plan, source: Pattern): Boolean =
+    word(p1, source) == word(p2, source)
 
   /** Keep only the first (i.e. simplest, given DL-sorted input) plan of
     * each equivalence class, preserving order; stops after `maxKeep` kept
-    * plans so cost is O(n·maxKeep) rather than O(n²).
+    * plans.
     */
   def dedup(ranked: Seq[Plan], source: Pattern, maxKeep: Int = Int.MaxValue): Vector[Plan] = {
-    val seen = scala.collection.mutable.ArrayBuffer.empty[Plan]
+    val seen = new java.util.HashSet[String]
+    val kept = Vector.newBuilder[Plan]
     val it = ranked.iterator
     while (it.hasNext && seen.size < maxKeep) {
       val p = it.next()
-      if (!seen.exists(q => equivalent(p, q, source))) seen += p
+      if (seen.add(word(p, source))) kept += p
     }
-    seen.toVector
+    kept.result()
   }
 }

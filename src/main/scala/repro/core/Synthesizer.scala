@@ -40,17 +40,28 @@ object Synthesizer {
       )
   }
 
-  /** Rank-and-dedup the plans of one (source, target) alignment. */
-  def plansFor(source: Pattern, target: Pattern, k: Int): Vector[Plan] = {
+  /** Every plan of one (source, target) alignment, unranked; none when the
+    * alignment is infeasible.
+    */
+  private def candidates(source: Pattern, target: Pattern): Seq[Plan] = {
     val dag = Alignment.align(target, source)
-    if (!dag.isFeasible) Vector.empty
-    else Dedup.dedup(Mdl.rank(dag.allPlans(), source.size), source, maxKeep = k)
+    if (dag.isFeasible) dag.allPlans() else Nil
   }
+
+  /** The `k` best plans of `source`, one per Appendix B class. */
+  private def best(source: Pattern, plans: Seq[Plan], k: Int): Vector[Plan] =
+    Dedup.dedup(Mdl.rank(plans, source.size), source, maxKeep = k)
+
+  /** Rank-and-dedup the plans of one (source, target) alignment. */
+  def plansFor(source: Pattern, target: Pattern, k: Int): Vector[Plan] =
+    best(source, candidates(source, target), k)
 
   /** Algorithm 2 over a hierarchy root and the selected target patterns.
     *
-    * With several targets, a source's candidate plans are the union over
-    * targets, re-ranked by MDL (ties by target cluster order as given).
+    * A source's candidate plans are the union of its plans toward every
+    * target it validates against, ranked by MDL and deduplicated once. An MDL
+    * rank key belongs to one plan and Appendix B classes are equal words, so
+    * this keeps the same plans as ranking and deduplicating per target first.
     */
   def synthesize(root: PNode, targets: Seq[Pattern], k: Int = 10): Result = {
     val targetSet = targets.toSet
@@ -66,13 +77,9 @@ object Synthesizer {
       if (p.isEmpty && !node.isLeaf) queue.enqueueAll(node.children)
       else if (targetSet.contains(p)) () // already in a desired form
       else {
-        val plans: Vector[Plan] =
-          if (targets.exists(t => Validate.validateAt(p, t, node.isLeaf))) {
-            val all = targets.flatMap { t =>
-              if (Validate.validateAt(p, t, node.isLeaf)) plansFor(p, t, k) else Vector.empty
-            }
-            Dedup.dedup(Mdl.rank(all, p.size), p, maxKeep = k)
-          } else Vector.empty
+        val validated = targets.filter(t => Validate.validateAt(p, t, node.isLeaf))
+        val plans =
+          if (validated.isEmpty) Vector.empty[Plan] else best(p, validated.flatMap(candidates(p, _)), k)
         if (plans.nonEmpty) solutions += SourceSolution(p, plans)
         else if (node.isLeaf) noise += p
         else queue.enqueueAll(node.children)
@@ -81,18 +88,9 @@ object Synthesizer {
     Result(solutions.result(), noise.result())
   }
 
-  /** Convenience end-to-end driver-side pipeline: cluster strings, discover
-    * constants, build the hierarchy, and synthesize against `targets`.
-    */
-  def fromStrings(strings: Seq[String], targets: Seq[Pattern], k: Int = 10,
-                  constantDiscovery: Boolean = true): Result = {
-    val root = hierarchyOf(strings, constantDiscovery)
-    synthesize(root, targets, k)
-  }
-
   /** Cluster + constant-discover + build hierarchy for a string column. */
-  def hierarchyOf(strings: Seq[String], constantDiscovery: Boolean = true): PNode =
-    Hierarchy.root(Hierarchy.build(leafClusters(strings, constantDiscovery).toSeq))
+  def hierarchyOf(strings: Seq[String]): PNode =
+    Hierarchy.root(Hierarchy.build(leafClusters(strings).toSeq))
 
   /** Leaf pattern of each distinct string form, with counts — the cluster
     * listing shown to the user for labeling (Fig. 3).

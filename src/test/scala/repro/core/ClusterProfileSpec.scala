@@ -107,6 +107,46 @@ class ClusterProfileSpec extends AnyFunSuite {
     })
   }
 
+  // §4.1 "Find Constant Tokens": a class run whose substring is equal across
+  // a cluster of at least `minSupport` strings becomes a literal.
+  private def refinedOf(strings: String*): Pattern = ClusterProfile.of(strings).clusters().keys.head
+
+  test("constants: an all-equal run becomes a literal") {
+    assert(ClusterProfile.of(Seq("CPT115", "CPT204", "CPT987")).clusters() ==
+      Map(Pattern.of(Token.lit("CPT"), Token(D, 3)) -> 3L))
+  }
+
+  test("constants: a varying run keeps its base token") {
+    assert(refinedOf("CPT115", "CPT204").tokens(1) == Token(D, 3))
+  }
+
+  test("constants: the Dr. title becomes literals") {
+    assert(refinedOf("Dr. Eran", "Dr. Kath", "Dr. Pete").tokens.take(3) ==
+      Vector(Token.lit("D"), Token.lit("r"), Token.lit(".")))
+  }
+
+  test("constants: adjacent literals are not merged") {
+    // alignment needs the boundary to extract 'CPT' into a <U>+ target token
+    assert(refinedOf("CPT-115", "CPT-204") == Pattern.of(Token.lit("CPT"), Token.lit("-"), Token(D, 3)))
+  }
+
+  test("constants: a singleton cluster keeps its leaf") {
+    assert(ClusterProfile.of(Seq("CPT115")).clusters() == Map(Tokenizer.tokenize("CPT115") -> 1L))
+  }
+
+  test("constants: minSupport 1 refines a singleton") {
+    assert(ClusterProfile.of(Seq("CPT115")).clusters(minSupport = 1).keys.head.tokens.forall(_.isLiteral))
+  }
+
+  test("constants: the refined pattern matches its members") {
+    val strings = Seq("Dr. Eran", "Dr. Kath")
+    strings.foreach(s => assert(refinedOf(strings: _*).matches(s)))
+  }
+
+  test("constants: an empty input has no clusters") {
+    assert(ClusterProfile.of(Nil).clusters().isEmpty)
+  }
+
   test("merged profiles discover constants") {
     val partition1 = ClusterProfile.of(Seq("AB12", "AB34"))
     val partition2 = ClusterProfile.of(Seq("AB12", "AB56", "AB78"))

@@ -12,7 +12,7 @@ class InvariantSpec extends AnyFunSuite {
 
   test("hierarchy: every string matches its leaf and every ancestor pattern") {
     val strings = Vector("734-422-8073", "Bob123@gmail.com", "N/A", "(12) 34", "x_y-z")
-    val root = Synthesizer.hierarchyOf(strings, constantDiscovery = false)
+    val root = Hierarchy.root(Hierarchy.build(ClusterProfile.of(strings).leaves.toSeq))
     def check(node: Hierarchy.PNode, members: Seq[String]): Unit = {
       members.foreach(s => assert(node.pattern.isEmpty || node.pattern.matches(s),
         s"'$s' should match ${node.pattern.render}"))
@@ -64,7 +64,7 @@ class InvariantSpec extends AnyFunSuite {
   test("every solved branch's plans evaluate on every matching corpus record") {
     val data = Benchmarks.all.find(_.id == "ff-phone-std").get.data
     val targets = ClxSim.chooseTargets(data)
-    val res = Synthesizer.fromStrings(data.map(_._1), targets)
+    val res = Synthesizer.synthesize(Synthesizer.hierarchyOf(data.map(_._1)), targets)
     for {
       sol <- res.solutions
       (in, _) <- data if sol.source.matches(in)
@@ -76,7 +76,7 @@ class InvariantSpec extends AnyFunSuite {
   test("synthesized branch plans always produce target-pattern output") {
     val data = Benchmarks.all.find(_.id == "sygus-phone-10-long").get.data
     val targets = ClxSim.chooseTargets(data)
-    val res = Synthesizer.fromStrings(data.map(_._1), targets)
+    val res = Synthesizer.synthesize(Synthesizer.hierarchyOf(data.map(_._1)), targets)
     for {
       sol <- res.solutions
       (in, _) <- data.take(60) if sol.source.matches(in)

@@ -51,10 +51,10 @@ class SynthesizerSpec extends AnyFunSuite {
   test("empty strings among phones are reported as noise") {
     val strings = Seq("734-422-8073", "", "734.236.3466", "", "(201) 555-0100")
     val target = p("(734) 645-8397")
-    val res = Synthesizer.fromStrings(strings, Seq(target))
+    val root = Synthesizer.hierarchyOf(strings)
+    val res = Synthesizer.synthesize(root, Seq(target))
     assert(res.noise == Vector(Pattern.empty))
     // Every record is solved, already in the target form, or noise.
-    val root = Synthesizer.hierarchyOf(strings)
     val solved = root.preOrder.filter(n => res.solutions.exists(_.source == n.pattern)).flatMap(_.leaves)
     val accounted = root.leaves.filter(l => solved.contains(l) || l.pattern == target || res.noise.contains(l.pattern))
     assert(accounted.map(_.count).sum == strings.size)
@@ -69,7 +69,7 @@ class SynthesizerSpec extends AnyFunSuite {
 
   test("program leaves noise unchanged and flagged") {
     val strings = Seq("734-422-8073", "N/A", "N/A")
-    val res = Synthesizer.fromStrings(strings, Seq(p("(734) 645-8397")))
+    val res = Synthesizer.synthesize(Synthesizer.hierarchyOf(strings), Seq(p("(734) 645-8397")))
     val prog = res.program(Seq(p("(734) 645-8397")))
     assert(prog.applyFlagged("N/A") == ("N/A", false))
     assert(prog.applyFlagged("734-422-8073")._2)
@@ -127,7 +127,7 @@ class SynthesizerSpec extends AnyFunSuite {
   test("synthesize skips target patterns themselves") {
     val strings = Seq("123-456", "789-012", "111.222")
     val target = p("123-456")
-    val res = Synthesizer.fromStrings(strings, Seq(target))
+    val res = Synthesizer.synthesize(Synthesizer.hierarchyOf(strings), Seq(target))
     assert(!res.solutions.exists(_.source == target))
   }
 
@@ -154,8 +154,8 @@ class SynthesizerSpec extends AnyFunSuite {
   }
 
   test("suggestion list cap k is honored") {
-    val res = Synthesizer.fromStrings(
-      Seq("1.2.3.4", "5.6.7.8", "1234"), Seq(p("9.9.9.9")), k = 3)
+    val res = Synthesizer.synthesize(
+      Synthesizer.hierarchyOf(Seq("1.2.3.4", "5.6.7.8", "1234")), Seq(p("9.9.9.9")), k = 3)
     res.solutions.foreach(s => assert(s.plans.size <= 3))
   }
 
@@ -163,5 +163,40 @@ class SynthesizerSpec extends AnyFunSuite {
     val data = Benchmarks.all.find(_.id == "ff-ex9-names").get.data
     val outcome = ClxSim.run(data)
     assert(outcome.program.applyFlagged("Sumit Gulwani, Sr.")._1 == "Gulwani, S.")
+  }
+
+  /** Algorithm 2 with the plans of each validated target ranked and
+    * deduplicated on their own, then their union ranked and deduplicated again.
+    */
+  private def rankPerTargetFirst(root: Hierarchy.PNode, targets: Seq[Pattern], k: Int): Synthesizer.Result = {
+    val solutions = Vector.newBuilder[Synthesizer.SourceSolution]
+    val noise = Vector.newBuilder[Pattern]
+    val queue = scala.collection.mutable.Queue(root)
+    while (queue.nonEmpty) {
+      val node = queue.dequeue()
+      val p = node.pattern
+      if (p.isEmpty && !node.isLeaf) queue.enqueueAll(node.children)
+      else if (!targets.contains(p)) {
+        val perTarget = targets.filter(Validate.validateAt(p, _, node.isLeaf)).flatMap { t =>
+          val dag = Alignment.align(t, p)
+          if (dag.isFeasible) Dedup.dedup(Mdl.rank(dag.allPlans(), p.size), p, maxKeep = k) else Vector.empty
+        }
+        val plans = Dedup.dedup(Mdl.rank(perTarget, p.size), p, maxKeep = k)
+        if (plans.nonEmpty) solutions += Synthesizer.SourceSolution(p, plans)
+        else if (node.isLeaf) noise += p
+        else queue.enqueueAll(node.children)
+      }
+    }
+    Synthesizer.Result(solutions.result(), noise.result())
+  }
+
+  test("one rank-and-dedup equals ranking per target first (47 tasks)") {
+    assert(Benchmarks.all.size == 47)
+    for (task <- Benchmarks.all) {
+      val targets = ClxSim.chooseTargets(task.data)
+      val root = Synthesizer.hierarchyOf(task.data.map(_._1))
+      for (k <- Seq(10, 40))
+        assert(Synthesizer.synthesize(root, targets, k) == rankPerTargetFirst(root, targets, k), s"${task.id}, k = $k")
+    }
   }
 }
