@@ -13,13 +13,24 @@ import UniFi.{ConstStr, Extract, StringExpr}
   */
 object Alignment {
 
+  /** Most source-to-sink paths taken from one DAG, in depth-first order
+    * (`allPlans`' default and `Mdl.best`'s budget). A DAG of n same-class
+    * tokens has up to nⁿ paths; past the budget the rest are never ranked
+    * (ROADMAP, Defect 1).
+    */
+  final val PathBudget = 50000
+
   /** The alignment DAG. `edges` maps (fromNode, toNode) → operations. */
   final case class Dag(m: Int, edges: Map[(Int, Int), Vector[StringExpr]]) {
 
-    /** Enumerate all source-to-sink paths as plans, capped to keep worst
-      * cases bounded (patterns are short; the cap is defensive).
+    /** The first `cap` source-to-sink paths as plans, depth first: from a
+      * node, edges to a nearer node first, and one edge's ops in their order.
+      *
+      * The reference enumeration: `Mdl.best` walks the same paths in the same
+      * order without building them; `MdlSpec`, `SynthesizerSpec` and the
+      * benchmark's traced replay call this.
       */
-    def allPlans(cap: Int = 50000): Vector[UniFi.Plan] = {
+    def allPlans(cap: Int = PathBudget): Vector[UniFi.Plan] = {
       val out = Vector.newBuilder[UniFi.Plan]
       var count = 0
       def go(node: Int, acc: List[StringExpr]): Unit = {

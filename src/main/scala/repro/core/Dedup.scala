@@ -22,7 +22,7 @@ object Dedup {
   private final val Esc = '\u0000'
 
   /** The canonical word of `plan` over `source`. */
-  private def word(plan: Plan, source: Pattern): String = {
+  private[core] def word(plan: Plan, source: Pattern): String = {
     val w = new java.lang.StringBuilder
     def chars(s: String): Unit =
       s.foreach(c => if (c == Esc) w.append(Esc).append(Esc) else w.append(c))

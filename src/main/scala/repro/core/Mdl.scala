@@ -14,32 +14,57 @@ import UniFi.{ConstStr, Extract, Plan, StringExpr}
   *
   * Logs are base 2; log₂ 1 = 0, matching the paper's Example 9 where a
   * single-op plan contributes no model cost.
+  *
+  * The per-op data length, the model term and the penalty step are defined
+  * once below; `length`, `orderPenalty`, `rank` and `best` all call them, so
+  * every caller computes bit-identical keys.
   */
 object Mdl {
 
   private def log2(x: Double): Double = math.log(x) / math.log(2)
 
+  /** log₂ 95: the data length of one printable character. */
+  private val CharLength = log2(95.0)
+
+  /** log₂ max(1, m) for m = 0, 1, 2 distinct op types. */
+  private val TypeLength = Array(log2(1), log2(1), log2(2))
+
+  /** Data length of one Extract over a source of `sourceSize` tokens: log₂ |P|². */
+  private def extractLength(sourceSize: Int): Double = log2(math.max(1, sourceSize.toDouble * sourceSize))
+
+  /** Data length of one op, given `extractLength` of the source. */
+  private def opLength(op: StringExpr, extract: Double): Double = op match {
+    case _: Extract  => extract
+    case ConstStr(s) => s.length * CharLength
+  }
+
+  /** Model length L(E) of `ops` operations of `types` distinct types (Eq. 4). */
+  private def modelLength(ops: Int, types: Int): Double = if (ops == 0) 0.0 else ops * TypeLength(types)
+
   /** Model description length L(E) (Eq. 4). */
   def modelLength(plan: Plan): Double = {
     val ops = plan.exprs
-    val distinctTypes =
-      (if (ops.exists(_.isInstanceOf[Extract])) 1 else 0) + (if (ops.exists(_.isInstanceOf[ConstStr])) 1 else 0)
-    if (ops.isEmpty) 0.0 else ops.size * log2(math.max(1, distinctTypes))
+    modelLength(ops.size,
+      (if (ops.exists(_.isInstanceOf[Extract])) 1 else 0) + (if (ops.exists(_.isInstanceOf[ConstStr])) 1 else 0))
   }
 
   /** Data description length L(T|E) (Eq. 5), given the source pattern size. */
   def dataLength(plan: Plan, sourceSize: Int): Double = {
+    val extract = extractLength(sourceSize)
     var sum = 0.0
-    plan.exprs.foreach {
-      case _: Extract  => sum += log2(math.max(1, sourceSize.toDouble * sourceSize))
-      case ConstStr(s) => sum += s.length * log2(95.0)
-    }
+    plan.exprs.foreach(op => sum += opLength(op, extract))
     sum
   }
 
   /** Total description length L(E,T) (Eq. 3). */
   def length(plan: Plan, sourceSize: Int): Double =
     modelLength(plan) + dataLength(plan, sourceSize)
+
+  /** What Extract `b` adds to `orderPenalty` after the plan's previous
+    * Extract `prev` (`null` when `b` is the first).
+    */
+  private def penaltyStep(prev: Extract, b: Extract): Int =
+    if (prev == null) 0 else if (prev == b) 2 else if (b.i <= prev.j) 1 else 0
 
   /** Occam-style tie-break among equal-DL plans: penalize plans that reuse
     * the same source range twice (2 per adjacent repeat) or jump backwards
@@ -53,7 +78,7 @@ object Mdl {
     var prev: Extract = null
     plan.exprs.foreach {
       case b: Extract =>
-        if (prev != null) penalty += (if (prev == b) 2 else if (b.i <= prev.j) 1 else 0)
+        penalty += penaltyStep(prev, b)
         prev = b
       case _: ConstStr => ()
     }
@@ -62,6 +87,9 @@ object Mdl {
 
   /** Rank plans by DL ascending; ties broken deterministically by op count,
     * then `orderPenalty`, then `Plan.render`. Equal plans keep input order.
+    *
+    * The reference ranking: `Synthesizer` ranks with `best`, which `MdlSpec`
+    * checks against this; the benchmark's traced replay calls it.
     *
     * DL and penalty are computed once per plan, not once per comparison.
     * The `render` tie-break compares op ranks instead of whole plan strings:
@@ -120,5 +148,186 @@ object Mdl {
     val idx = Array.tabulate[Integer](n)(Integer.valueOf)
     java.util.Arrays.sort(idx, order) // stable, as sortBy is
     idx.iterator.map(i => ps(i)).toVector
+  }
+
+  /** The `k` best plans of `source` toward the DAGs of its validated
+    * targets, one per Appendix B class: exactly
+    * `Dedup.dedup(rank(dags.flatMap(_.allPlans(budget)), source.size), source, k)`.
+    * An infeasible DAG has no path and is skipped.
+    *
+    * One ranked walk instead of enumerate, sort and dedup. Each DAG's paths
+    * are walked in `allPlans`' order, up to `budget` per DAG, and each
+    * path's `rank` key is carried along it: the data length summed left to
+    * right, the op count, the op types used (the model term is added at the
+    * sink), the penalty via the last Extract, and the ranks of its first ops
+    * packed into a Long. A path is a parent-pointer trie node plus its key;
+    * a binary heap pops paths in `rank`'s order (position in the union last,
+    * as the stable sort keeps it), and only a popped path becomes a `Plan`,
+    * until `k` classes are kept.
+    *
+    * Op ranks are taken over every edge op of the DAGs. They order two ops
+    * as their renders do, so two plans compare as with ranks over the
+    * enumerated plans' ops alone. A render that prefixes another over this
+    * larger set makes the walk compare plan renders, which is what `rank`'s
+    * op ranks stand for.
+    */
+  def best(dags: Seq[Alignment.Dag], source: Pattern, k: Int, budget: Int = Alignment.PathBudget): Vector[Plan] = {
+    val feasible = dags.filter(_.isFeasible)
+    // most hierarchy nodes validate against no target
+    if (feasible.isEmpty) Vector.empty else new Walk(feasible, source, budget).best(k)
+  }
+
+  /** The paths and keys of one `best` call. */
+  private final class Walk(dags: Seq[Alignment.Dag], source: Pattern, budget: Int) {
+
+    // Edge ops: an id per (DAG, edge, op), with what a path's key needs.
+    private val opsBuf = Vector.newBuilder[StringExpr]
+    private var nOps = 0
+    /** Per DAG and node: the op ids leaving it, in `allPlans`' order, and their end nodes. */
+    private val (outOps, outNext) = dags.map { dag =>
+      val ops = new Array[Array[Int]](dag.m)
+      val next = new Array[Array[Int]](dag.m)
+      for (a <- 0 until dag.m) {
+        val ids, ends = Array.newBuilder[Int]
+        for (b <- (a + 1) to dag.m; op <- dag.edges.getOrElse((a, b), Vector.empty)) {
+          opsBuf += op; ids += nOps; ends += b; nOps += 1
+        }
+        ops(a) = ids.result(); next(a) = ends.result()
+      }
+      (ops, next)
+    }.unzip
+    private val ops = opsBuf.result().toArray
+    private val opExtract = ops.map { case e: Extract => e; case _ => null }
+    private val opData = { val e = extractLength(source.size); ops.map(opLength(_, e)) }
+    private val renders = ops.map(_.render).distinct.sorted
+    private val opRank = { val rankOf = renders.zipWithIndex.toMap; ops.map(op => rankOf(op.render)) }
+    private val prefixClash = (1 until renders.length).exists(r => renders(r).startsWith(renders(r - 1)))
+    private val bits = math.max(1, 32 - Integer.numberOfLeadingZeros(renders.length))
+    private val packed = 63 / bits
+
+    // Trie of walked prefixes: node → parent node (-1: the empty prefix), op id.
+    private var trieParent, trieOp = new Array[Int](1024)
+    private var nTrie = 0
+    // Paths: trie node of the whole path, and its key.
+    private var pathEnd, pathSize, pathPenalty = new Array[Int](256)
+    private var pathDl = new Array[Double](256)
+    private var pathHead = new Array[Long](256)
+    private var nPaths = 0
+
+    private def newTrie(parent: Int, op: Int): Int = {
+      if (nTrie == trieParent.length) {
+        trieParent = java.util.Arrays.copyOf(trieParent, 2 * nTrie)
+        trieOp = java.util.Arrays.copyOf(trieOp, 2 * nTrie)
+      }
+      trieParent(nTrie) = parent; trieOp(nTrie) = op; nTrie += 1
+      nTrie - 1
+    }
+
+    private def addPath(end: Int, dl: Double, size: Int, penalty: Int, head: Long): Unit = {
+      if (nPaths == pathEnd.length) {
+        val n = 2 * nPaths
+        pathEnd = java.util.Arrays.copyOf(pathEnd, n); pathSize = java.util.Arrays.copyOf(pathSize, n)
+        pathPenalty = java.util.Arrays.copyOf(pathPenalty, n); pathDl = java.util.Arrays.copyOf(pathDl, n)
+        pathHead = java.util.Arrays.copyOf(pathHead, n)
+      }
+      pathEnd(nPaths) = end; pathDl(nPaths) = dl; pathSize(nPaths) = size
+      pathPenalty(nPaths) = penalty; pathHead(nPaths) = head; nPaths += 1
+    }
+
+    /** `allPlans`' depth-first walk of DAG `d`, recording up to `budget` paths. */
+    private def walk(d: Int): Unit = {
+      val m = dags(d).m
+      val out = outOps(d); val next = outNext(d)
+      var count = 0
+      def go(node: Int, trie: Int, data: Double, size: Int, types: Int, penalty: Int, last: Extract, head: Long): Unit =
+        if (node == m) {
+          addPath(trie, modelLength(size, Integer.bitCount(types)) + data, size, penalty, head)
+          count += 1
+        } else {
+          val ids = out(node); val ends = next(node)
+          var e = 0
+          while (e < ids.length && count < budget) {
+            val op = ids(e)
+            val x = opExtract(op)
+            go(ends(e), newTrie(trie, op), data + opData(op), size + 1, types | (if (x == null) 2 else 1),
+              if (x == null) penalty else penalty + penaltyStep(last, x), if (x == null) last else x,
+              if (size < packed) head << bits | opRank(op) else head)
+            e += 1
+          }
+        }
+      if (budget > 0) go(0, -1, 0.0, 0, 0, 0, null, 0L)
+    }
+
+    dags.indices.foreach(walk)
+
+    /** Op ids of path `p`, first op first. */
+    private def opIds(p: Int): Array[Int] = {
+      val ids = new Array[Int](pathSize(p))
+      var t = pathEnd(p); var i = ids.length
+      while (t >= 0) { i -= 1; ids(i) = trieOp(t); t = trieParent(t) }
+      ids
+    }
+
+    private def plan(p: Int): Plan = Plan(opIds(p).iterator.map(ops(_)).toVector)
+
+    private lazy val renderOf = new Array[String](nPaths)
+    private def render(p: Int): String = {
+      if (renderOf(p) == null) renderOf(p) = plan(p).render
+      renderOf(p)
+    }
+
+    private def byOps(x: Int, y: Int): Int =
+      if (prefixClash) render(x).compareTo(render(y))
+      else {
+        var c = java.lang.Long.compare(pathHead(x), pathHead(y))
+        if (c == 0 && pathSize(x) > packed) {
+          val a = opIds(x); val b = opIds(y)
+          var i = packed
+          while (c == 0 && i < a.length) { c = Integer.compare(opRank(a(i)), opRank(b(i))); i += 1 }
+        }
+        c
+      }
+
+    /** `rank`'s order, then position in the union. */
+    private def before(x: Int, y: Int): Boolean = {
+      var c = java.lang.Double.compare(pathDl(x), pathDl(y))
+      if (c == 0) c = Integer.compare(pathSize(x), pathSize(y))
+      if (c == 0) c = Integer.compare(pathPenalty(x), pathPenalty(y))
+      if (c == 0) c = byOps(x, y)
+      if (c == 0) c = Integer.compare(x, y)
+      c < 0
+    }
+
+    def best(k: Int): Vector[Plan] = {
+      // binary min-heap of path indices
+      val heap = Array.range(0, nPaths)
+      var n = nPaths
+      def siftDown(from: Int): Unit = {
+        var i = from
+        val p = heap(i)
+        var done = false
+        while (!done) {
+          var c = 2 * i + 1
+          if (c >= n) done = true
+          else {
+            if (c + 1 < n && before(heap(c + 1), heap(c))) c += 1
+            if (before(heap(c), p)) { heap(i) = heap(c); i = c } else done = true
+          }
+        }
+        heap(i) = p
+      }
+      for (i <- n / 2 - 1 to 0 by -1) siftDown(i)
+
+      val seen = new java.util.HashSet[String]
+      val kept = Vector.newBuilder[Plan]
+      while (n > 0 && seen.size < k) {
+        val p = plan(heap(0))
+        n -= 1
+        heap(0) = heap(n)
+        if (n > 0) siftDown(0)
+        if (seen.add(Dedup.word(p, source))) kept += p
+      }
+      kept.result()
+    }
   }
 }

@@ -40,28 +40,19 @@ object Synthesizer {
       )
   }
 
-  /** Every plan of one (source, target) alignment, unranked; none when the
-    * alignment is infeasible.
+  /** The `k` best plans of one (source, target) alignment, one per
+    * Appendix B class.
     */
-  private def candidates(source: Pattern, target: Pattern): Seq[Plan] = {
-    val dag = Alignment.align(target, source)
-    if (dag.isFeasible) dag.allPlans() else Nil
-  }
-
-  /** The `k` best plans of `source`, one per Appendix B class. */
-  private def best(source: Pattern, plans: Seq[Plan], k: Int): Vector[Plan] =
-    Dedup.dedup(Mdl.rank(plans, source.size), source, maxKeep = k)
-
-  /** Rank-and-dedup the plans of one (source, target) alignment. */
   def plansFor(source: Pattern, target: Pattern, k: Int): Vector[Plan] =
-    best(source, candidates(source, target), k)
+    Mdl.best(Seq(Alignment.align(target, source)), source, k)
 
   /** Algorithm 2 over a hierarchy root and the selected target patterns.
     *
     * A source's candidate plans are the union of its plans toward every
-    * target it validates against, ranked by MDL and deduplicated once. An MDL
-    * rank key belongs to one plan and Appendix B classes are equal words, so
-    * this keeps the same plans as ranking and deduplicating per target first.
+    * target it validates against, ranked by MDL and deduplicated once, in one
+    * ranked walk (`Mdl.best`). An MDL rank key belongs to one plan and
+    * Appendix B classes are equal words, so this keeps the same plans as
+    * ranking and deduplicating per target first.
     */
   def synthesize(root: PNode, targets: Seq[Pattern], k: Int = 10): Result = {
     val targetSet = targets.toSet
@@ -78,8 +69,7 @@ object Synthesizer {
       else if (targetSet.contains(p)) () // already in a desired form
       else {
         val validated = targets.filter(t => Validate.validateAt(p, t, node.isLeaf))
-        val plans =
-          if (validated.isEmpty) Vector.empty[Plan] else best(p, validated.flatMap(candidates(p, _)), k)
+        val plans = Mdl.best(validated.map(Alignment.align(_, p)), p, k)
         if (plans.nonEmpty) solutions += SourceSolution(p, plans)
         else if (node.isLeaf) noise += p
         else queue.enqueueAll(node.children)

@@ -117,4 +117,16 @@ class AlignmentSpec extends AnyFunSuite {
     val tgt = p("1.1.1.1.1.1")
     assert(Alignment.align(tgt, src).allPlans(cap = 10).size == 10)
   }
+
+  test("the ranked walk at budget 10 keeps exactly the classes of the first 10 paths") {
+    val src = p("1.1.1.1.1.1")
+    val dag = Alignment.align(src, src)
+    val first10 = dag.allPlans(cap = 10)
+    val classes = first10.map(Dedup.word(_, src)).toSet
+    // later paths hold classes of their own, which the walk must not reach
+    assert(dag.allPlans(cap = 100).exists(pl => !classes.contains(Dedup.word(pl, src))))
+    val kept = Mdl.best(Seq(dag), src, k = 100, budget = 10)
+    assert(kept.map(Dedup.word(_, src)).toSet == classes)
+    assert(kept == Dedup.dedup(Mdl.rank(first10, src.size), src))
+  }
 }

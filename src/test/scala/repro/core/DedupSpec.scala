@@ -100,14 +100,6 @@ class DedupSpec extends AnyFunSuite {
       AN -> (lower + lower.toUpperCase + digits + "_-"))
   }
 
-  private val tokens: Gen[Token] = Gen.frequency(
-    3 -> Gen.oneOf(".", "-", " ", "a", "7").map(Token.lit),
-    1 -> Gen.oneOf("ab", "Dr.", "--").map(Token.lit),
-    4 -> Gen.zip(Gen.oneOf(TokType.baseClasses),
-      Gen.frequency(3 -> Gen.choose(1, 3).map(Quant.Num(_)), 1 -> Gen.const(Quant.Plus))).map {
-        case (t, q) => Token(t, q)
-      })
-
   private def ops(n: Int): Gen[StringExpr] = Gen.oneOf(
     for (i <- Gen.choose(1, n); j <- Gen.choose(i, math.min(n, i + 2))) yield Extract(i, j),
     Gen.choose(1, 3).flatMap(Gen.listOfN(_, Gen.oneOf("ab.-7r D"))).map(cs => ConstStr(cs.mkString)))
@@ -147,7 +139,7 @@ class DedupSpec extends AnyFunSuite {
   test("equal canonical words are exactly equal outputs on sampled strings") {
     var same, different = 0
     val cases = for {
-      source <- Gen.choose(1, 6).flatMap(Gen.listOfN(_, tokens)).map(ts => Pattern(ts.toVector))
+      source <- PatternGen.patterns(1, 6)
       p1 <- plans(source.size)
       coins <- Gen.infiniteLazyList(Gen.prob(0.5))
       p2 <- Gen.oneOf(Gen.const(rewrite(p1, source, coins.iterator)), plans(source.size),

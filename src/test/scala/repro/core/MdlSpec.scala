@@ -1,9 +1,11 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.benchmark.Benchmarks
 import repro.sim.ClxSim
 import UniFi.{ConstStr, Extract, Plan}
+import TokType.D
 
 /** §6.3 MDL ranking (Eq. 3–6) and the paper's Example 9. */
 class MdlSpec extends AnyFunSuite {
@@ -96,7 +98,7 @@ class MdlSpec extends AnyFunSuite {
       val sets = planSets(Benchmarks.all.find(_.id == id).get)
       assert(sets.nonEmpty)
       sets.foreach { case (source, plans) => assertRanksLikeReference(plans, source.size) }
-      if (id == "prose-popl13") assert(sets.exists(_._2.size == 50000), "expected a capped plan set")
+      if (id == "prose-popl13") assert(sets.exists(_._2.size == Alignment.PathBudget), "expected a capped plan set")
     }
   }
 
@@ -144,5 +146,93 @@ class MdlSpec extends AnyFunSuite {
     val ranked = Mdl.rank(Seq(x, y), 3)
     assert(ranked(0) eq x)
     assert(ranked(1) eq y)
+  }
+
+  // The ranked walk `Mdl.best` against enumerate → rank → dedup.
+
+  private val Budgets = Seq(1, 7, Alignment.PathBudget)
+
+  /** `best`'s definition. */
+  private def bestReference(dags: Seq[Alignment.Dag], source: Pattern, k: Int, budget: Int): Vector[Plan] =
+    Dedup.dedup(Mdl.rank(dags.flatMap(_.allPlans(budget)), source.size), source, maxKeep = k)
+
+  /** Equal plans built from the same op instances: the walk keeps the very
+    * path the reference keeps, not just an equal plan from another DAG.
+    */
+  private def samePaths(a: Vector[Plan], b: Vector[Plan]): Boolean =
+    a == b && a.zip(b).forall { case (x, y) => x.exprs.corresponds(y.exprs)(_ eq _) }
+
+  private def assertBestLikeReference(dags: Seq[Alignment.Dag], source: Pattern, ks: Seq[Int] = Seq(1, 10, 40)): Unit =
+    for (budget <- Budgets; k <- ks) {
+      val walked = Mdl.best(dags, source, k, budget)
+      val reference = bestReference(dags, source, k, budget)
+      assert(samePaths(walked, reference), s"budget $budget, k $k: ${walked.map(_.render)} vs ${reference.map(_.render)}")
+    }
+
+  /** Op renders over the DAGs' edges, sorted, and how many op ranks fit the packed head. */
+  private def packedOps(dags: Seq[Alignment.Dag]): (Vector[String], Int) = {
+    val renders = dags.flatMap(_.edges.valuesIterator.flatten.map(_.render)).distinct.sorted.toVector
+    (renders, 63 / math.max(1, 32 - Integer.numberOfLeadingZeros(renders.size)))
+  }
+
+  /** Two plans of `plans` with an equal key and equal packed ops that differ later. */
+  private def tieRunsPastHead(plans: Seq[Plan], sourceSize: Int, packed: Int): Boolean =
+    plans.groupBy(p => (Mdl.length(p, sourceSize), p.exprs.size, Mdl.orderPenalty(p), p.exprs.take(packed)))
+      .exists { case ((_, size, _, _), ps) => size > packed && ps.distinct.size > 1 }
+
+  /** A target aligned against `source`: copies of its tokens, tokens from
+    * the shared generator, and the literals `a` and `a')b`, whose ConstStr
+    * renders clash by prefix.
+    */
+  private def target(source: Pattern): Gen[Pattern] =
+    Gen.choose(1, 5).flatMap(Gen.listOfN(_, Gen.frequency(
+      6 -> Gen.oneOf(source.tokens),
+      2 -> PatternGen.tokens,
+      1 -> Gen.oneOf(Token.lit("a"), Token.lit("a')b"))))).map(ts => Pattern(ts.toVector))
+
+  test("best equals enumerate, rank and dedup over random sources and 1-3 validated targets") {
+    var clashes, unions, sharedPlans = 0
+    val cases = (for {
+      source <- PatternGen.patterns(1, 6)
+      firsts <- Gen.choose(1, 3).flatMap(Gen.listOfN(_, target(source)))
+      // a repeated target puts one plan in two DAGs
+      targets <- Gen.oneOf(Gen.const(firsts), Gen.const(firsts :+ firsts.head))
+    } yield (source, targets.filter(Validate.validateAt(source, _, isLeaf = true)).take(3)))
+      .suchThat(_._2.nonEmpty)
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500),
+      Prop.forAllNoShrink(cases) { case (source, targets) =>
+        val dags = targets.map(Alignment.align(_, source)).filter(_.isFeasible)
+        val renders = packedOps(dags)._1
+        if ((1 until renders.size).exists(r => renders(r).startsWith(renders(r - 1)))) clashes += 1
+        if (dags.size > 1) unions += 1
+        if (dags.size > 1 && dags.map(_.allPlans(7).toSet).reduce(_ intersect _).nonEmpty) sharedPlans += 1
+        assertBestLikeReference(dags, source)
+        true
+      })
+    assert(res.passed, res.status.toString)
+    assert(clashes > 10 && unions > 50 && sharedPlans > 10, s"clashes=$clashes unions=$unions shared=$sharedPlans")
+  }
+
+  test("best: ConstStr renders that clash by prefix across two DAGs") {
+    val source = Pattern.of(Token(D, 2), Token.lit("-"), Token(D, 2))
+    val t1 = Pattern.of(Token.lit("a"), Token.lit("')b"), Token(D, 2))
+    val t2 = Pattern.of(Token.lit("a')b"), Token(D, 2))
+    val dags = Seq(t1, t2).map(Alignment.align(_, source))
+    assert(packedOps(dags)._1.containsSlice(Seq("ConstStr('a')", "ConstStr('a')b')")))
+    assertBestLikeReference(dags, source)
+  }
+
+  test("best: ties that run past the packed head") {
+    val source = Tokenizer.tokenize("1.1.1.1.1.1")
+    val dags = Seq(Alignment.align(source, source))
+    val packed = packedOps(dags)._2
+    assert(tieRunsPastHead(dags.head.allPlans(), source.size, packed), s"packed $packed")
+    assertBestLikeReference(dags, source, ks = Seq(1, 10, 40, 1000))
+  }
+
+  test("best keeps nothing without a feasible DAG or with k = 0") {
+    val source = Tokenizer.tokenize("12")
+    assert(Mdl.best(Nil, source, 10).isEmpty)
+    assert(Mdl.best(Seq(Alignment.align(source, source)), source, 0).isEmpty)
   }
 }

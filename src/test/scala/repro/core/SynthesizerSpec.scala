@@ -167,8 +167,9 @@ class SynthesizerSpec extends AnyFunSuite {
 
   /** Algorithm 2 with the plans of each validated target ranked and
     * deduplicated on their own, then their union ranked and deduplicated again.
+    * `capped` counts the DAGs whose enumeration stopped at the path budget.
     */
-  private def rankPerTargetFirst(root: Hierarchy.PNode, targets: Seq[Pattern], k: Int): Synthesizer.Result = {
+  private def rankPerTargetFirst(root: Hierarchy.PNode, targets: Seq[Pattern], k: Int, capped: () => Unit): Synthesizer.Result = {
     val solutions = Vector.newBuilder[Synthesizer.SourceSolution]
     val noise = Vector.newBuilder[Pattern]
     val queue = scala.collection.mutable.Queue(root)
@@ -179,7 +180,9 @@ class SynthesizerSpec extends AnyFunSuite {
       else if (!targets.contains(p)) {
         val perTarget = targets.filter(Validate.validateAt(p, _, node.isLeaf)).flatMap { t =>
           val dag = Alignment.align(t, p)
-          if (dag.isFeasible) Dedup.dedup(Mdl.rank(dag.allPlans(), p.size), p, maxKeep = k) else Vector.empty
+          val all = if (dag.isFeasible) dag.allPlans() else Vector.empty
+          if (all.size == Alignment.PathBudget) capped()
+          Dedup.dedup(Mdl.rank(all, p.size), p, maxKeep = k)
         }
         val plans = Dedup.dedup(Mdl.rank(perTarget, p.size), p, maxKeep = k)
         if (plans.nonEmpty) solutions += Synthesizer.SourceSolution(p, plans)
@@ -192,11 +195,41 @@ class SynthesizerSpec extends AnyFunSuite {
 
   test("one rank-and-dedup equals ranking per target first (47 tasks)") {
     assert(Benchmarks.all.size == 47)
-    for (task <- Benchmarks.all) {
-      val targets = ClxSim.chooseTargets(task.data)
-      val root = Synthesizer.hierarchyOf(task.data.map(_._1))
-      for (k <- Seq(10, 40))
-        assert(Synthesizer.synthesize(root, targets, k) == rankPerTargetFirst(root, targets, k), s"${task.id}, k = $k")
+    for (k <- Seq(10, 40)) {
+      val capped = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+      for (task <- Benchmarks.all) {
+        val targets = ClxSim.chooseTargets(task.data)
+        val root = Synthesizer.hierarchyOf(task.data.map(_._1))
+        val reference = rankPerTargetFirst(root, targets, k, () => capped(task.id) += 1)
+        assert(Synthesizer.synthesize(root, targets, k) == reference, s"${task.id}, k = $k")
+      }
+      // the walk stopped at the path budget where the reference did
+      assert(capped.toMap == Map("prose-popl13" -> 6), s"k = $k")
+    }
+  }
+
+  /** `12 12 … 12` (n numbers) and its target `12-12-…-12`. */
+  private def repeatedNumbers(n: Int): (Pattern, Pattern) =
+    (p(Seq.fill(n)("12").mkString(" ")), p(Seq.fill(n)("12").mkString("-")))
+
+  /** Extract(1), '-', Extract(3), '-', …, Extract(2n-1). */
+  private def inOrder(n: Int): UniFi.Plan =
+    UniFi.Plan((1 to n).flatMap(i => Seq(UniFi.Extract(2 * i - 1), UniFi.ConstStr("-"))).init.toVector)
+
+  test("at 6 same-class tokens every path is ranked and the default plan keeps order") {
+    val (source, target) = repeatedNumbers(6)
+    assert(Alignment.align(target, source).allPlans().size < Alignment.PathBudget)
+    assert(Synthesizer.plansFor(source, target, k = 10).head == inOrder(6))
+  }
+
+  test("Defect 1: at 8 and 10 same-class tokens the path budget hides the default plan") {
+    // The first PathBudget paths all begin Extract(1), '-', Extract(1), …;
+    // an exact k-best search over every path fixes this.
+    pendingUntilFixed {
+      for (n <- Seq(8, 10)) {
+        val (source, target) = repeatedNumbers(n)
+        assert(Synthesizer.plansFor(source, target, k = 10).head == inOrder(n), s"$n tokens")
+      }
     }
   }
 }
