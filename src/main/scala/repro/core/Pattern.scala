@@ -143,8 +143,11 @@ final case class Pattern(tokens: Vector[Token]) {
   /** Wrangler-like natural-language regexp shown to end users (§3.1). */
   def renderNatural: String = tokens.map(_.renderNatural).mkString("")
 
-  /** Anchored Java regex with one capturing group per token. */
-  lazy val groupedRegex: String = tokens.map(t => s"(${t.regex})").mkString("^", "", "$")
+  /** Anchored Java regex with one capturing group per token. The anchors are
+    * `\A` and `\z`, the bounds of the whole text in Java and RE2 alike; Java's
+    * `$` would also match just before a final line terminator.
+    */
+  lazy val groupedRegex: String = tokens.map(t => s"(${t.regex})").mkString("\\A", "", "\\z")
 
   @transient private lazy val compiled: JPattern = JPattern.compile(groupedRegex)
 

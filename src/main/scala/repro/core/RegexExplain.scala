@@ -14,7 +14,10 @@ import UniFi.{Branch, ConstStr, Extract, Program}
   * consecutively extracted tokens, split wherever an Extract starts or ends,
   * so every Extract references whole groups. RE2 references only go up to
   * `\9` (`\10` reads as `\1` followed by `0`), so a branch that still needs
-  * more than nine groups has no RE2 flavor. `renderForUser` shows each
+  * more than nine groups has no RE2 flavor. Both flavors anchor with `\A`
+  * and `\z`, which Java and RE2 read as the bounds of the whole text, so a
+  * string ending in a line terminator is not rewritten (Java's `$` matches
+  * just before one). `renderForUser` shows each
   * Extract as one visual component, as the paper describes.
   */
 object RegexExplain {
@@ -62,7 +65,7 @@ object RegexExplain {
       val open = if (groups.exists(_.start == k)) "(" else ""
       val close = if (groups.exists(_.end == k)) ")" else ""
       open + t.regex + close
-    }.mkString("^", "", "$")
+    }.mkString("\\A", "", "\\z")
 
     def repl(ref: Int => String, escape: String => String): String =
       branch.plan.exprs.map {

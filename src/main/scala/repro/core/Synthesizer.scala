@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.{ForkJoinPool, ForkJoinTask, RecursiveTask}
 import Hierarchy.PNode
 import UniFi.{Plan, Program, Branch}
 
@@ -8,7 +9,7 @@ import UniFi.{Plan, Program, Branch}
   * Traverses the pattern cluster hierarchy top-down; a node that passes
   * `validate` against some target is solved (aligned, plans ranked by MDL
   * and deduplicated) and its subtree is not descended; otherwise its
-  * children are enqueued. Unsolvable leaves are reported as noise — their
+  * children are decided. Unsolvable leaves are reported as noise — their
   * strings are "left unchanged and flagged for additional review" (§6.1).
   */
 object Synthesizer {
@@ -53,29 +54,64 @@ object Synthesizer {
     * ranked walk (`Mdl.best`). An MDL rank key belongs to one plan and
     * Appendix B classes are equal words, so this keeps the same plans as
     * ranking and deduplicating per target first.
+    *
+    * Each node's outcome is decided as a fork/join task in
+    * `ForkJoinPool.commonPool()`: an expanding node forks its children with
+    * `ForkJoinTask.invokeAll`. An outcome reads only the node's pattern, its
+    * leaf flag, the targets and `k`, and its callees (`Validate.validateAt`,
+    * `Alignment.align`, `Mdl.best`) share no mutable state, so the tasks are
+    * independent; the finished outcome tree is then walked breadth first,
+    * which lists solutions and noise in the order of Algorithm 2's queue.
+    * Safe to call from several threads at once.
     */
   def synthesize(root: PNode, targets: Seq[Pattern], k: Int = 10): Result = {
-    val targetSet = targets.toSet
+    val top = ForkJoinPool.commonPool().invoke(new Decide(root, targets, targets.toSet, k))
     val solutions = Vector.newBuilder[SourceSolution]
     val noise = Vector.newBuilder[Pattern]
-    val queue = scala.collection.mutable.Queue[PNode](root)
+    val queue = scala.collection.mutable.Queue[Outcome](top)
+    while (queue.nonEmpty) queue.dequeue() match {
+      case Skip          => ()
+      case Solved(s)     => solutions += s
+      case Noise(p)      => noise += p
+      case Expand(inner) => queue.enqueueAll(inner)
+    }
+    Result(solutions.result(), noise.result())
+  }
 
-    while (queue.nonEmpty) {
-      val node = queue.dequeue()
+  /** What Algorithm 2 does with one hierarchy node. */
+  private sealed trait Outcome
+  /** Already in a desired form. */
+  private case object Skip extends Outcome
+  private final case class Solved(solution: SourceSolution) extends Outcome
+  /** An unsolved leaf. */
+  private final case class Noise(pattern: Pattern) extends Outcome
+  /** The synthetic root or an unsolved inner node: its children's outcomes. */
+  private final case class Expand(children: Vector[Outcome]) extends Outcome
+
+  /** Decides `node`'s outcome, forking its children when it expands. */
+  private final class Decide(node: PNode, targets: Seq[Pattern], targetSet: Set[Pattern], k: Int)
+      extends RecursiveTask[Outcome] {
+
+    protected def compute(): Outcome = {
       val p = node.pattern
       // The synthetic root; the empty string's leaf shares its empty
       // pattern but is a leaf, and is validated like any other.
-      if (p.isEmpty && !node.isLeaf) queue.enqueueAll(node.children)
-      else if (targetSet.contains(p)) () // already in a desired form
+      if (p.isEmpty && !node.isLeaf) expand()
+      else if (targetSet.contains(p)) Skip
       else {
         val validated = targets.filter(t => Validate.validateAt(p, t, node.isLeaf))
         val plans = Mdl.best(validated.map(Alignment.align(_, p)), p, k)
-        if (plans.nonEmpty) solutions += SourceSolution(p, plans)
-        else if (node.isLeaf) noise += p
-        else queue.enqueueAll(node.children)
+        if (plans.nonEmpty) Solved(SourceSolution(p, plans))
+        else if (node.isLeaf) Noise(p)
+        else expand()
       }
     }
-    Result(solutions.result(), noise.result())
+
+    private def expand(): Outcome = {
+      val tasks = node.children.map(new Decide(_, targets, targetSet, k))
+      ForkJoinTask.invokeAll(tasks: _*)
+      Expand(tasks.map(_.join()))
+    }
   }
 
   /** Cluster + constant-discover + build hierarchy for a string column. */

@@ -20,7 +20,7 @@ class RegexExplainSpec extends AnyFunSuite {
     val r = RegexExplain.explain(branch)
     val compiled = java.util.regex.Pattern.compile(r.regex)
     assert(compiled.matcher("000.000.0000").groupCount() == 3)
-    assert(r.regex.startsWith("^") && r.regex.endsWith("$"))
+    assert(r.regex.startsWith("\\A") && r.regex.endsWith("\\z"))
   }
 
   test("java replacement uses $n references") {

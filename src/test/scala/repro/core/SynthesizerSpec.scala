@@ -165,8 +165,9 @@ class SynthesizerSpec extends AnyFunSuite {
     assert(outcome.program.applyFlagged("Sumit Gulwani, Sr.")._1 == "Gulwani, S.")
   }
 
-  /** Algorithm 2 with the plans of each validated target ranked and
-    * deduplicated on their own, then their union ranked and deduplicated again.
+  /** Algorithm 2 as a sequential queue loop, with the plans of each validated
+    * target ranked and deduplicated on their own, then their union ranked and
+    * deduplicated again.
     * `capped` counts the DAGs whose enumeration stopped at the path budget.
     */
   private def rankPerTargetFirst(root: Hierarchy.PNode, targets: Seq[Pattern], k: Int, capped: () => Unit): Synthesizer.Result = {
@@ -206,6 +207,49 @@ class SynthesizerSpec extends AnyFunSuite {
       // the walk stopped at the path budget where the reference did
       assert(capped.toMap == Map("prose-popl13" -> 6), s"k = $k")
     }
+  }
+
+  /** Phones in five non-target formats and the target one, plus `noise`
+    * digit-free strings of 6–14 characters over letters, `.` and `-`, which
+    * spread over thousands of leaf patterns that no phone target validates.
+    */
+  private def longTail(noise: Int): Seq[String] = {
+    val rnd = new scala.util.Random(11)
+    def d(n: Int) = Seq.fill(n)(rnd.nextInt(10)).mkString
+    val formats = Seq[(String, String, String) => String](
+      (a, b, c) => s"($a) $b-$c", (a, b, c) => s"($a)$b-$c", (a, b, c) => s"$a-$b-$c",
+      (a, b, c) => s"$a.$b.$c", (a, b, c) => s"$a $b $c", (a, b, c) => s"+1 $a-$b-$c")
+    val phones = Seq.fill(600)(formats(rnd.nextInt(formats.size))(d(3), d(3), d(4)))
+    val alphabet = "abcdefGHIJKLMN.-"
+    phones ++ Seq.fill(noise)(Seq.fill(6 + rnd.nextInt(9))(alphabet(rnd.nextInt(alphabet.length))).mkString)
+  }
+
+  private val phoneTarget = Seq(p("(734) 645-8397"))
+
+  test("synthesize equals the sequential reference on a long-tail hierarchy") {
+    val root = Synthesizer.hierarchyOf(longTail(4000))
+    assert(root.leaves.size > 3000)
+    for (k <- Seq(10, 40)) {
+      val reference = rankPerTargetFirst(root, phoneTarget, k, () => ())
+      assert(reference.solutions.size == 5 && reference.noise.size > 3000)
+      assert(Synthesizer.synthesize(root, phoneTarget, k) == reference, s"k = $k")
+    }
+  }
+
+  test("synthesize called from 8 threads at once on one root equals the reference") {
+    val root = Synthesizer.hierarchyOf(longTail(2000))
+    val reference = rankPerTargetFirst(root, phoneTarget, 10, () => ())
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(8)
+    try {
+      val start = new java.util.concurrent.CountDownLatch(1)
+      val runs = (1 to 8).map { _ =>
+        pool.submit(new java.util.concurrent.Callable[Synthesizer.Result] {
+          def call(): Synthesizer.Result = { start.await(); Synthesizer.synthesize(root, phoneTarget) }
+        })
+      }
+      start.countDown()
+      runs.foreach(r => assert(r.get() == reference))
+    } finally pool.shutdown()
   }
 
   /** `12 12 … 12` (n numbers) and its target `12-12-…-12`. */

@@ -173,6 +173,24 @@ class TransformSparkSpec extends SparkSpec {
     )
   }
 
+  test("oracle: a cell ending in a line terminator is left alone by every flavour") {
+    // Java's `$` also matches just before a final line terminator; RE2's does not
+    val data = df(Seq("201.555.0100\n", "201.555.0100\r\n", "201.555.0100\u2028",
+      "(201) 555-0100\n", "201.555.0100"))
+    val replace = RegexExplain.explain(prog.branches.head)
+    val viaUdf = TransformSpark.transform(data, "s", prog)
+      .select(col("s"), col("transformed") as "out")
+    val viaRegex = TransformSpark.transformViaRegex(data, "s", prog)
+      .select(col("s"), col("transformed") as "out")
+    assert(viaUdf.collect().count(r => r.getString(0) == r.getString(1)) == 4)
+    assert(viaRegex.collect().map(_.toString).sorted.sameElements(viaUdf.collect().map(_.toString).sorted))
+    Oracle.assertEquivalent(
+      viaUdf,
+      s"SELECT s, regexp_replace(s, '${replace.regex}', '${replace.re2Replacement}') AS out FROM t",
+      "t" -> data,
+    )
+  }
+
   test("transform handles null input") {
     import spark.implicits._
     val data = Seq(Some("201.555.0100"), None).toDF("s")
