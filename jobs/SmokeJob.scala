@@ -1,7 +1,7 @@
 package repro.jobs
 
 import repro.benchmark.Benchmarks
-import repro.sim.{ClxSim, Comparison, FlashFillSim, RegexReplaceSim}
+import repro.sim.{ClxSim, FlashFillSim, RegexReplaceSim}
 
 /** Driver-side smoke run over a few benchmark tasks (no Spark needed):
   * prints targets, programs, and Step accounting — useful while iterating

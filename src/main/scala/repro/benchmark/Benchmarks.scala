@@ -44,8 +44,6 @@ object Benchmarks {
     */
   private val firsts4 = Vector("John", "Mary", "Kate", "Paul", "Eric", "Anna", "Carl", "Nina", "Owen", "Lisa")
   private val lasts5  = Vector("Smith", "Jones", "Brown", "Davis", "Green", "Baker", "Adams", "White", "Moore", "Kelly")
-  private val firstsVar = Vector("John", "Alexandra", "Bo", "Katherine", "Sam", "Gabriel", "Mia", "Theodore")
-  private val lastsVar  = Vector("Lee", "Smith", "Williams", "Oyelaran", "Chen", "Fitzgerald", "Park", "Robinson")
 
   private val cities1 = Vector("Chicago", "Seattle", "Boston", "Denver", "Austin", "Portland", "Houston", "Phoenix")
   private val cities2 = Vector("San Diego", "Ann Arbor", "New York", "Los Angeles", "San Jose", "Fort Worth")

@@ -74,12 +74,12 @@ final class ClusterProfile private (private val targets: Seq[Pattern],
   def leaves: Map[Pattern, Long] = tally((key, _) => leafPattern(key))
 
   /** Leaf clusters with constant discovery: in a cluster of at least
-    * `minSupport` strings, a class run that holds the same substring in
+    * `MinSupport` strings, a class run that holds the same substring in
     * every string becomes that literal. Clusters whose refined patterns
     * coincide are merged, their counts summed.
     */
-  def clusters(minSupport: Int = 2): Map[Pattern, Long] =
-    tally((key, e) => if (e.count >= minSupport) e.refined(key) else leafPattern(key))
+  def clusters(): Map[Pattern, Long] =
+    tally((key, e) => if (e.count >= MinSupport) e.refined(key) else leafPattern(key))
 
   private def tally(pattern: (String, Entry) => Pattern): Map[Pattern, Long] = {
     val sums = scala.collection.mutable.HashMap.empty[Pattern, Long]
@@ -114,6 +114,11 @@ final class ClusterProfile private (private val targets: Seq[Pattern],
 }
 
 object ClusterProfile {
+
+  /** The fewest strings a cluster needs before constant discovery (§4.1)
+    * turns its constant runs into literals.
+    */
+  val MinSupport = 2
 
   def empty: ClusterProfile = against(Nil)
 

@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.Comparator
-import scala.jdk.CollectionConverters._
 import UniFi.{ConstStr, Extract, Plan, StringExpr}
 
 /** §6.3 Minimum Description Length plan ranking (Eq. 3–6).
@@ -88,67 +86,15 @@ object Mdl {
   /** Rank plans by DL ascending; ties broken deterministically by op count,
     * then `orderPenalty`, then `Plan.render`. Equal plans keep input order.
     *
-    * The reference ranking: `Synthesizer` ranks with `best`, which `MdlSpec`
-    * checks against this; the benchmark's traced replay calls it.
-    *
-    * DL and penalty are computed once per plan, not once per comparison.
-    * The `render` tie-break compares op ranks instead of whole plan strings:
-    * tied plans have equal op counts, so their renders first differ inside
-    * the first differing op, and comparing those ops' renders decides. That
-    * fails only when one op's render is a proper prefix of another's (e.g.
-    * `ConstStr('a')` and `ConstStr('a')b')`); such a call compares `render`.
+    * The definition of §6.3's order: each plan's full key is computed once
+    * and a stable sort orders the plans. The program ranks only with
+    * `best`, which `MdlSpec` checks against this; it does not call `rank`.
     */
-  def rank(plans: Seq[Plan], sourceSize: Int): Vector[Plan] = {
-    val ps = plans.toArray
-    val n = ps.length
-    val dl = new Array[Double](n)
-    val penalty = new Array[Int](n)
-    // op instance → rank of its render among the call's distinct renders;
-    // plans from one DAG share op instances, so the map stays small
-    val opRank = new java.util.IdentityHashMap[StringExpr, Integer]
-    for (k <- 0 until n) {
-      dl(k) = length(ps(k), sourceSize)
-      penalty(k) = orderPenalty(ps(k))
-      ps(k).exprs.foreach(op => opRank.put(op, null))
-    }
-    val renders = opRank.keySet.asScala.map(_.render).toArray.sorted
-    val rankOf = renders.zipWithIndex.toMap
-    opRank.replaceAll((op, _) => rankOf(op.render))
-    val prefixClash = (1 until renders.length).exists(r => renders(r).startsWith(renders(r - 1)))
-
-    // The ranks of each plan's first `packed` ops, packed into one Long,
-    // settle most ties without a map lookup.
-    val bits = math.max(1, 32 - Integer.numberOfLeadingZeros(renders.length))
-    val packed = 63 / bits
-    val head = new Array[Long](n)
-    for (k <- 0 until n) {
-      val ops = ps(k).exprs
-      var key = 0L
-      for (i <- 0 until math.min(packed, ops.size)) key = key << bits | opRank.get(ops(i)).longValue
-      head(k) = key
-    }
-
-    def byOps(x: Int, y: Int): Int =
-      if (prefixClash) ps(x).render.compareTo(ps(y).render)
-      else {
-        val a = ps(x).exprs; val b = ps(y).exprs
-        var c = java.lang.Long.compare(head(x), head(y))
-        var i = packed
-        while (c == 0 && i < a.size) { c = Integer.compare(opRank.get(a(i)), opRank.get(b(i))); i += 1 }
-        c
-      }
-
-    val order: Comparator[Integer] = (x, y) => {
-      var c = java.lang.Double.compare(dl(x), dl(y))
-      if (c == 0) c = Integer.compare(ps(x).exprs.size, ps(y).exprs.size)
-      if (c == 0) c = Integer.compare(penalty(x), penalty(y))
-      if (c == 0) c = byOps(x, y)
-      c
-    }
-    val idx = Array.tabulate[Integer](n)(Integer.valueOf)
-    java.util.Arrays.sort(idx, order) // stable, as sortBy is
-    idx.iterator.map(i => ps(i)).toVector
-  }
+  def rank(plans: Seq[Plan], sourceSize: Int): Vector[Plan] =
+    plans.toVector
+      .map(p => (p, (length(p, sourceSize), p.exprs.size, orderPenalty(p), p.render)))
+      .sortBy(_._2)
+      .map(_._1)
 
   /** The `k` best plans of `source` toward the DAGs of its validated
     * targets, one per Appendix B class: exactly
@@ -165,11 +111,13 @@ object Mdl {
     * as the stable sort keeps it), and only a popped path becomes a `Plan`,
     * until `k` classes are kept.
     *
-    * Op ranks are taken over every edge op of the DAGs. They order two ops
-    * as their renders do, so two plans compare as with ranks over the
-    * enumerated plans' ops alone. A render that prefixes another over this
-    * larger set makes the walk compare plan renders, which is what `rank`'s
-    * op ranks stand for.
+    * Op ranks are taken over every edge op of the DAGs and order two ops as
+    * their renders do. Tied plans have equal op counts, so their renders
+    * first differ inside the first differing op, and comparing those ops'
+    * ranks orders them as `rank`'s last key, the plan render, does. That
+    * fails only when one op's render is a proper prefix of another's (e.g.
+    * `ConstStr('a')` and `ConstStr('a')b')`); then the walk compares plan
+    * renders.
     */
   def best(dags: Seq[Alignment.Dag], source: Pattern, k: Int, budget: Int = Alignment.PathBudget): Vector[Plan] = {
     val feasible = dags.filter(_.isFeasible)

@@ -118,11 +118,9 @@ object Synthesizer {
   def hierarchyOf(strings: Seq[String]): PNode =
     Hierarchy.root(Hierarchy.build(leafClusters(strings).toSeq))
 
-  /** Leaf pattern of each distinct string form, with counts — the cluster
-    * listing shown to the user for labeling (Fig. 3).
+  /** Leaf pattern of each distinct string form, with constant discovery
+    * and counts — the cluster listing shown to the user for labeling (Fig. 3).
     */
-  def leafClusters(strings: Seq[String], constantDiscovery: Boolean = true): Map[Pattern, Long] = {
-    val profile = ClusterProfile.of(strings)
-    if (constantDiscovery) profile.clusters() else profile.leaves
-  }
+  def leafClusters(strings: Seq[String]): Map[Pattern, Long] =
+    ClusterProfile.of(strings).clusters()
 }

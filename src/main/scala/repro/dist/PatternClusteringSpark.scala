@@ -50,10 +50,10 @@ object PatternClusteringSpark {
     * Returns (refined pattern → string count) over the non-null strings.
     * Patterns that collapse to the same refined pattern are merged.
     */
-  def leafClusters(df: DataFrame, col: String, minSupport: Int = 2): Map[Pattern, Long] =
-    profile(df, col).clusters(minSupport)
+  def leafClusters(df: DataFrame, col: String): Map[Pattern, Long] =
+    profile(df, col).clusters()
 
   /** Full clustering phase: leaf clusters → pattern cluster hierarchy. */
-  def hierarchy(df: DataFrame, col: String, minSupport: Int = 2): Hierarchy.PNode =
-    Hierarchy.root(Hierarchy.build(leafClusters(df, col, minSupport).toSeq))
+  def hierarchy(df: DataFrame, col: String): Hierarchy.PNode =
+    Hierarchy.root(Hierarchy.build(leafClusters(df, col).toSeq))
 }

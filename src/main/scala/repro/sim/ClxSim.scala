@@ -45,10 +45,10 @@ object ClxSim {
   def chooseTargets(data: Seq[(String, String)]): Vector[Pattern] = {
     val correctForm = data.collect { case (in, out) if in == out => in }
     require(correctForm.nonEmpty, "task must contain at least one record already in the target form")
-    val leavesCd = Synthesizer.leafClusters(correctForm).keys.toVector.sortBy(_.render)
+    val profile = ClusterProfile.of(correctForm)
+    val leavesCd = profile.clusters().keys.toVector.sortBy(_.render)
     if (leavesCd.size == 1) return leavesCd
-    val leavesPlain = Synthesizer.leafClusters(correctForm, constantDiscovery = false)
-      .keys.toVector.sortBy(_.render)
+    val leavesPlain = profile.leaves.keys.toVector.sortBy(_.render)
     val g1 = leavesPlain.map(p => Hierarchy.getParent(p, Hierarchy.strategy1)).distinct
     val ill = data.collect { case (in, out) if in != out => in }
     if (g1.size < leavesPlain.size && !ill.exists(s => g1.exists(_.matches(s)))) g1

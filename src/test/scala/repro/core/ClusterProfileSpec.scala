@@ -56,11 +56,11 @@ class ClusterProfileSpec extends AnyFunSuite {
     java.util.Arrays.compareUnsigned(a.getBytes(UTF_8), b.getBytes(UTF_8))
 
   /** Leaf clusters as `groupBy(tokenize)` plus a per-position distinct count. */
-  private def reference(column: Seq[String], minSupport: Int = 2): Map[Pattern, Long] =
+  private def reference(column: Seq[String]): Map[Pattern, Long] =
     column.groupBy(Tokenizer.tokenize).toSeq.map { case (leaf, members) =>
       val values = members.map(Tokenizer.tokenizeWithValues(_)._2)
       val refined =
-        if (members.size < minSupport) leaf
+        if (members.size < ClusterProfile.MinSupport) leaf
         else Pattern(leaf.tokens.zipWithIndex.map { case (t, i) =>
           val distinct = values.map(_(i)).distinct
           if (!t.isLiteral && distinct.size == 1) Token.lit(distinct.head) else t
@@ -96,19 +96,13 @@ class ClusterProfileSpec extends AnyFunSuite {
   test("leafClusters equals the groupBy(tokenize) reference") {
     check(Prop.forAll(columns) { column =>
       Synthesizer.leafClusters(column) == reference(column) &&
-        Synthesizer.leafClusters(column, constantDiscovery = false) ==
+        ClusterProfile.of(column).leaves ==
           column.groupBy(Tokenizer.tokenize).view.mapValues(_.size.toLong).toMap
     })
   }
 
-  test("clusters honor minSupport like the reference") {
-    check(Prop.forAll(columns, Gen.choose(1, 4)) { (column, minSupport) =>
-      ClusterProfile.of(column).clusters(minSupport) == reference(column, minSupport)
-    })
-  }
-
   // §4.1 "Find Constant Tokens": a class run whose substring is equal across
-  // a cluster of at least `minSupport` strings becomes a literal.
+  // a cluster of at least `MinSupport` strings becomes a literal.
   private def refinedOf(strings: String*): Pattern = ClusterProfile.of(strings).clusters().keys.head
 
   test("constants: an all-equal run becomes a literal") {
@@ -132,10 +126,6 @@ class ClusterProfileSpec extends AnyFunSuite {
 
   test("constants: a singleton cluster keeps its leaf") {
     assert(ClusterProfile.of(Seq("CPT115")).clusters() == Map(Tokenizer.tokenize("CPT115") -> 1L))
-  }
-
-  test("constants: minSupport 1 refines a singleton") {
-    assert(ClusterProfile.of(Seq("CPT115")).clusters(minSupport = 1).keys.head.tokens.forall(_.isLiteral))
   }
 
   test("constants: the refined pattern matches its members") {

@@ -3,7 +3,6 @@ package repro.core
 import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
-import scala.jdk.CollectionConverters._
 import TokType._
 import UniFi._
 

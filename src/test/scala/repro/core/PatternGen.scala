@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalacheck.Gen
-import TokType._
 
 /** Token and pattern generators shared by the core properties. */
 object PatternGen {
