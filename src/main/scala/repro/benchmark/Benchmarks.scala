@@ -297,7 +297,7 @@ object Benchmarks {
   private val ffEx2Log = Task(
     "ff-ex2-log", "FlashFill", "log entry", {
       val r = new Random(42)
-      rows(Seq("404", "500"), 8) { i =>
+      rows(Seq("404", "500"), 8) { _ =>
         val code = (r.nextInt(400) + 100).toString
         val host = s"srv${r.nextInt(9) + 1}"
         (s"ERROR $code at $host port ${r.nextInt(9000) + 1000}", code)

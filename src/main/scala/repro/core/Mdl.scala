@@ -103,21 +103,15 @@ object Mdl {
     *
     * One ranked walk instead of enumerate, sort and dedup. Each DAG's paths
     * are walked in `allPlans`' order, up to `budget` per DAG, and each
-    * path's `rank` key is carried along it: the data length summed left to
-    * right, the op count, the op types used (the model term is added at the
-    * sink), the penalty via the last Extract, and the ranks of its first ops
-    * packed into a Long. A path is a parent-pointer trie node plus its key;
-    * a binary heap pops paths in `rank`'s order (position in the union last,
-    * as the stable sort keeps it), and only a popped path becomes a `Plan`,
-    * until `k` classes are kept.
-    *
-    * Op ranks are taken over every edge op of the DAGs and order two ops as
-    * their renders do. Tied plans have equal op counts, so their renders
-    * first differ inside the first differing op, and comparing those ops'
-    * ranks orders them as `rank`'s last key, the plan render, does. That
-    * fails only when one op's render is a proper prefix of another's (e.g.
-    * `ConstStr('a')` and `ConstStr('a')b')`); then the walk compares plan
-    * renders.
+    * path's `rank` keys but the render are carried along it: the data length
+    * summed left to right, the op count, the op types used (the model term
+    * is added at the sink) and the penalty via the last Extract. A path is a
+    * parent-pointer trie node plus its keys; a binary heap orders paths by
+    * those keys, then by position in the union. The paths tied with the
+    * head on DL, op count and penalty are popped as one group in position
+    * order, built as `Plan`s and stably sorted by `Plan.render`, which is
+    * `rank`'s order on them; the group then feeds the dedup until `k`
+    * classes are kept.
     */
   def best(dags: Seq[Alignment.Dag], source: Pattern, k: Int, budget: Int = Alignment.PathBudget): Vector[Plan] = {
     val feasible = dags.filter(_.isFeasible)
@@ -147,19 +141,13 @@ object Mdl {
     private val ops = opsBuf.result().toArray
     private val opExtract = ops.map { case e: Extract => e; case _ => null }
     private val opData = { val e = extractLength(source.size); ops.map(opLength(_, e)) }
-    private val renders = ops.map(_.render).distinct.sorted
-    private val opRank = { val rankOf = renders.zipWithIndex.toMap; ops.map(op => rankOf(op.render)) }
-    private val prefixClash = (1 until renders.length).exists(r => renders(r).startsWith(renders(r - 1)))
-    private val bits = math.max(1, 32 - Integer.numberOfLeadingZeros(renders.length))
-    private val packed = 63 / bits
 
     // Trie of walked prefixes: node → parent node (-1: the empty prefix), op id.
     private var trieParent, trieOp = new Array[Int](1024)
     private var nTrie = 0
-    // Paths: trie node of the whole path, and its key.
+    // Paths: trie node of the whole path, and its keys.
     private var pathEnd, pathSize, pathPenalty = new Array[Int](256)
     private var pathDl = new Array[Double](256)
-    private var pathHead = new Array[Long](256)
     private var nPaths = 0
 
     private def newTrie(parent: Int, op: Int): Int = {
@@ -171,15 +159,14 @@ object Mdl {
       nTrie - 1
     }
 
-    private def addPath(end: Int, dl: Double, size: Int, penalty: Int, head: Long): Unit = {
+    private def addPath(end: Int, dl: Double, size: Int, penalty: Int): Unit = {
       if (nPaths == pathEnd.length) {
         val n = 2 * nPaths
         pathEnd = java.util.Arrays.copyOf(pathEnd, n); pathSize = java.util.Arrays.copyOf(pathSize, n)
         pathPenalty = java.util.Arrays.copyOf(pathPenalty, n); pathDl = java.util.Arrays.copyOf(pathDl, n)
-        pathHead = java.util.Arrays.copyOf(pathHead, n)
       }
       pathEnd(nPaths) = end; pathDl(nPaths) = dl; pathSize(nPaths) = size
-      pathPenalty(nPaths) = penalty; pathHead(nPaths) = head; nPaths += 1
+      pathPenalty(nPaths) = penalty; nPaths += 1
     }
 
     /** `allPlans`' depth-first walk of DAG `d`, recording up to `budget` paths. */
@@ -187,9 +174,9 @@ object Mdl {
       val m = dags(d).m
       val out = outOps(d); val next = outNext(d)
       var count = 0
-      def go(node: Int, trie: Int, data: Double, size: Int, types: Int, penalty: Int, last: Extract, head: Long): Unit =
+      def go(node: Int, trie: Int, data: Double, size: Int, types: Int, penalty: Int, last: Extract): Unit =
         if (node == m) {
-          addPath(trie, modelLength(size, Integer.bitCount(types)) + data, size, penalty, head)
+          addPath(trie, modelLength(size, Integer.bitCount(types)) + data, size, penalty)
           count += 1
         } else {
           val ids = out(node); val ends = next(node)
@@ -198,52 +185,35 @@ object Mdl {
             val op = ids(e)
             val x = opExtract(op)
             go(ends(e), newTrie(trie, op), data + opData(op), size + 1, types | (if (x == null) 2 else 1),
-              if (x == null) penalty else penalty + penaltyStep(last, x), if (x == null) last else x,
-              if (size < packed) head << bits | opRank(op) else head)
+              if (x == null) penalty else penalty + penaltyStep(last, x), if (x == null) last else x)
             e += 1
           }
         }
-      if (budget > 0) go(0, -1, 0.0, 0, 0, 0, null, 0L)
+      if (budget > 0) go(0, -1, 0.0, 0, 0, 0, null)
     }
 
     dags.indices.foreach(walk)
 
-    /** Op ids of path `p`, first op first. */
-    private def opIds(p: Int): Array[Int] = {
-      val ids = new Array[Int](pathSize(p))
-      var t = pathEnd(p); var i = ids.length
-      while (t >= 0) { i -= 1; ids(i) = trieOp(t); t = trieParent(t) }
-      ids
+    /** The plan of path `p`. */
+    private def plan(p: Int): Plan = {
+      val exprs = new Array[StringExpr](pathSize(p))
+      var t = pathEnd(p); var i = exprs.length
+      while (t >= 0) { i -= 1; exprs(i) = ops(trieOp(t)); t = trieParent(t) }
+      Plan(exprs.toVector)
     }
 
-    private def plan(p: Int): Plan = Plan(opIds(p).iterator.map(ops(_)).toVector)
-
-    private lazy val renderOf = new Array[String](nPaths)
-    private def render(p: Int): String = {
-      if (renderOf(p) == null) renderOf(p) = plan(p).render
-      renderOf(p)
-    }
-
-    private def byOps(x: Int, y: Int): Int =
-      if (prefixClash) render(x).compareTo(render(y))
-      else {
-        var c = java.lang.Long.compare(pathHead(x), pathHead(y))
-        if (c == 0 && pathSize(x) > packed) {
-          val a = opIds(x); val b = opIds(y)
-          var i = packed
-          while (c == 0 && i < a.length) { c = Integer.compare(opRank(a(i)), opRank(b(i))); i += 1 }
-        }
-        c
-      }
-
-    /** `rank`'s order, then position in the union. */
-    private def before(x: Int, y: Int): Boolean = {
+    /** `rank`'s keys but the render: DL, op count, penalty. */
+    private def compareKeys(x: Int, y: Int): Int = {
       var c = java.lang.Double.compare(pathDl(x), pathDl(y))
       if (c == 0) c = Integer.compare(pathSize(x), pathSize(y))
       if (c == 0) c = Integer.compare(pathPenalty(x), pathPenalty(y))
-      if (c == 0) c = byOps(x, y)
-      if (c == 0) c = Integer.compare(x, y)
-      c < 0
+      c
+    }
+
+    /** Those keys, then position in the union. */
+    private def before(x: Int, y: Int): Boolean = {
+      val c = compareKeys(x, y)
+      c < 0 || c == 0 && x < y
     }
 
     def best(k: Int): Vector[Plan] = {
@@ -269,11 +239,19 @@ object Mdl {
       val seen = new java.util.HashSet[String]
       val kept = Vector.newBuilder[Plan]
       while (n > 0 && seen.size < k) {
-        val p = plan(heap(0))
-        n -= 1
-        heap(0) = heap(n)
-        if (n > 0) siftDown(0)
-        if (seen.add(Dedup.word(p, source))) kept += p
+        val head = heap(0)
+        val group = Vector.newBuilder[Plan]
+        while (n > 0 && compareKeys(heap(0), head) == 0) {
+          group += plan(heap(0))
+          n -= 1
+          heap(0) = heap(n)
+          if (n > 0) siftDown(0)
+        }
+        val ranked = group.result().sortBy(_.render).iterator
+        while (ranked.hasNext && seen.size < k) {
+          val p = ranked.next()
+          if (seen.add(Dedup.word(p, source))) kept += p
+        }
       }
       kept.result()
     }

@@ -41,12 +41,6 @@ object Synthesizer {
       )
   }
 
-  /** The `k` best plans of one (source, target) alignment, one per
-    * Appendix B class.
-    */
-  def plansFor(source: Pattern, target: Pattern, k: Int): Vector[Plan] =
-    Mdl.best(Seq(Alignment.align(target, source)), source, k)
-
   /** Algorithm 2 over a hierarchy root and the selected target patterns.
     *
     * A source's candidate plans are the union of its plans toward every
@@ -63,6 +57,9 @@ object Synthesizer {
     * independent; the finished outcome tree is then walked breadth first,
     * which lists solutions and noise in the order of Algorithm 2's queue.
     * Safe to call from several threads at once.
+    *
+    * A node that counts no strings is skipped: the root of an empty or
+    * all-null column synthesizes to an empty `Result`.
     */
   def synthesize(root: PNode, targets: Seq[Pattern], k: Int = 10): Result = {
     val top = ForkJoinPool.commonPool().invoke(new Decide(root, targets, targets.toSet, k))
@@ -80,7 +77,7 @@ object Synthesizer {
 
   /** What Algorithm 2 does with one hierarchy node. */
   private sealed trait Outcome
-  /** Already in a desired form. */
+  /** Already in a desired form, or covering no strings. */
   private case object Skip extends Outcome
   private final case class Solved(solution: SourceSolution) extends Outcome
   /** An unsolved leaf. */
@@ -94,9 +91,11 @@ object Synthesizer {
 
     protected def compute(): Outcome = {
       val p = node.pattern
-      // The synthetic root; the empty string's leaf shares its empty
-      // pattern but is a leaf, and is validated like any other.
-      if (p.isEmpty && !node.isLeaf) expand()
+      // An empty column's childless root counts no strings. Then the
+      // synthetic root; the empty string's leaf shares its empty pattern
+      // but is a leaf, and is validated like any other.
+      if (node.count == 0) Skip
+      else if (p.isEmpty && !node.isLeaf) expand()
       else if (targetSet.contains(p)) Skip
       else {
         val validated = targets.filter(t => Validate.validateAt(p, t, node.isLeaf))

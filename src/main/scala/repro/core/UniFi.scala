@@ -19,18 +19,18 @@ object UniFi {
   }
   /** Constant output string. */
   final case class ConstStr(s: String) extends StringExpr {
-    def render: String = s"ConstStr('$s')"
+    lazy val render: String = s"ConstStr('$s')"
   }
   /** Extract source tokens i..j (1-based, inclusive). */
   final case class Extract(i: Int, j: Int) extends StringExpr {
     require(i >= 1 && j >= i, s"bad extract range [$i,$j]")
-    def render: String = if (i == j) s"Extract($i)" else s"Extract($i,$j)"
+    lazy val render: String = if (i == j) s"Extract($i)" else s"Extract($i,$j)"
   }
   object Extract { def apply(i: Int): Extract = Extract(i, i) }
 
   /** An atomic transformation plan (Definition 5.1): Concat(f₁…fₙ). */
   final case class Plan(exprs: Vector[StringExpr]) {
-    def render: String = exprs.map(_.render).mkString("Concat(", ", ", ")")
+    lazy val render: String = exprs.map(_.render).mkString("Concat(", ", ", ")")
 
     /** Evaluate over per-token substrings of the matched source string. */
     def eval(tokenValues: Vector[String]): Option[String] = {

@@ -24,7 +24,7 @@ object FlashFillSim {
       val prog = FlashFillSynth.learn(examples)
       data.find { case (in, out) => prog(in) != out } match {
         case Some(ex) if !examples.contains(ex) => examples :+= ex
-        case Some(ex) =>
+        case Some(_) =>
           // The program is inconsistent with an already-given example
           // (ambiguity the DSL cannot resolve); the user gives up.
           done = true

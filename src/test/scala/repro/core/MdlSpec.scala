@@ -117,16 +117,14 @@ class MdlSpec extends AnyFunSuite {
       assert(samePaths(walked, reference), s"budget $budget, k $k: ${walked.map(_.render)} vs ${reference.map(_.render)}")
     }
 
-  /** Op renders over the DAGs' edges, sorted, and how many op ranks fit the packed head. */
-  private def packedOps(dags: Seq[Alignment.Dag]): (Vector[String], Int) = {
-    val renders = dags.flatMap(_.edges.valuesIterator.flatten.map(_.render)).distinct.sorted.toVector
-    (renders, 63 / math.max(1, 32 - Integer.numberOfLeadingZeros(renders.size)))
+  /** The paths of `dags` tied with the `k`-th plan `best` keeps on every key
+    * but the render: the group `best` cuts at `k`, in position order.
+    */
+  private def groupCutAt(dags: Seq[Alignment.Dag], source: Pattern, k: Int): Vector[Plan] = {
+    def key(p: Plan) = (Mdl.length(p, source.size), p.exprs.size, Mdl.orderPenalty(p))
+    val last = key(bestReference(dags, source, k, Alignment.PathBudget).last)
+    dags.flatMap(_.allPlans()).filter(key(_) == last).toVector
   }
-
-  /** Two plans of `plans` with an equal key and equal packed ops that differ later. */
-  private def tieRunsPastHead(plans: Seq[Plan], sourceSize: Int, packed: Int): Boolean =
-    plans.groupBy(p => (Mdl.length(p, sourceSize), p.exprs.size, Mdl.orderPenalty(p), p.exprs.take(packed)))
-      .exists { case ((_, size, _, _), ps) => size > packed && ps.distinct.size > 1 }
 
   /** Two adjacent plans of `ranked` that tie on every key but the render,
     * and whose first differing ops' renders order them the other way.
@@ -168,7 +166,7 @@ class MdlSpec extends AnyFunSuite {
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500),
       Prop.forAllNoShrink(cases) { case (source, targets) =>
         val dags = targets.map(Alignment.align(_, source)).filter(_.isFeasible)
-        val renders = packedOps(dags)._1
+        val renders = dags.flatMap(_.edges.valuesIterator.flatten.map(_.render)).distinct.sorted
         if ((1 until renders.size).exists(r => renders(r).startsWith(renders(r - 1)))) clashes += 1
         if (dags.size > 1) unions += 1
         if (dags.size > 1 && dags.map(_.allPlans(7).toSet).reduce(_ intersect _).nonEmpty) sharedPlans += 1
@@ -186,15 +184,16 @@ class MdlSpec extends AnyFunSuite {
     val t1 = Pattern.of(Token.lit("a"), Token.lit("')b"), Token(D, 2))
     val t2 = Pattern.of(Token.lit("a')b"), Token(D, 2))
     val dags = Seq(t1, t2).map(Alignment.align(_, source))
-    assert(packedOps(dags)._1.containsSlice(Seq("ConstStr('a')", "ConstStr('a')b')")))
+    assert(dags.flatMap(_.edges.valuesIterator.flatten.map(_.render)).distinct.sorted
+      .containsSlice(Seq("ConstStr('a')", "ConstStr('a')b')")))
     assertBestLikeReference(dags, source)
   }
 
-  test("best: ties that run past the packed head") {
+  test("best: a tie group larger than k, sorted by render and cut at k") {
     val source = Tokenizer.tokenize("1.1.1.1.1.1")
     val dags = Seq(Alignment.align(source, source))
-    val packed = packedOps(dags)._2
-    assert(tieRunsPastHead(dags.head.allPlans(), source.size, packed), s"packed $packed")
+    val group = groupCutAt(dags, source, 10)
+    assert(group.size > 10 && group.sortBy(_.render) != group, s"group of ${group.size}")
     assertBestLikeReference(dags, source, ks = Seq(1, 10, 40, 1000))
   }
 

@@ -11,20 +11,24 @@ class SynthesizerSpec extends AnyFunSuite {
 
   private def p(s: String) = Tokenizer.tokenize(s)
 
+  /** The `k` best plans of one (source, target) alignment. */
+  private def plansFor(source: Pattern, target: Pattern, k: Int): Vector[UniFi.Plan] =
+    Mdl.best(Seq(Alignment.align(target, source)), source, k)
+
   test("plansFor finds the phone normalization plan (Examples 8/9 machinery)") {
-    val plans = Synthesizer.plansFor(p("734.645.8397"), p("(201) 555-0100"), k = 10)
+    val plans = plansFor(p("734.645.8397"), p("(201) 555-0100"), k = 10)
     assert(plans.nonEmpty)
     val vals = p("734.645.8397").split("734.645.8397").get
     assert(plans.head.eval(vals).contains("(734) 645-8397"))
   }
 
   test("plansFor is empty when alignment is infeasible") {
-    assert(Synthesizer.plansFor(p("abc"), p("123"), k = 10).isEmpty)
+    assert(plansFor(p("abc"), p("123"), k = 10).isEmpty)
   }
 
   test("plans are deduplicated (no equivalent suggestions)") {
     val src = p("12/02/2017")
-    val plans = Synthesizer.plansFor(src, p("12/02"), k = 10)
+    val plans = plansFor(src, p("12/02"), k = 10)
     for (i <- plans.indices; j <- (i + 1) until plans.size)
       assert(!Dedup.equivalent(plans(i), plans(j), src),
         s"${plans(i).render} equivalent to ${plans(j).render}")
@@ -65,6 +69,15 @@ class SynthesizerSpec extends AnyFunSuite {
     assert(root.isLeaf && root.pattern.isEmpty && root.count == 3)
     assert(Synthesizer.synthesize(root, Seq(p("(734) 645-8397"))) ==
       Synthesizer.Result(Vector.empty, Vector(Pattern.empty)))
+  }
+
+  test("an empty hierarchy synthesizes to an empty result") {
+    val root = Synthesizer.hierarchyOf(Seq.empty)
+    assert(root.count == 0)
+    // a class target and an all-literal one
+    for (target <- Seq(p("(734) 645-8397"), Pattern.of(Token.lit("N"), Token.lit("/"), Token.lit("A"))))
+      assert(Synthesizer.synthesize(root, Seq(target)) == Synthesizer.Result(Vector.empty, Vector.empty),
+        target.render)
   }
 
   test("program leaves noise unchanged and flagged") {
@@ -177,7 +190,8 @@ class SynthesizerSpec extends AnyFunSuite {
     while (queue.nonEmpty) {
       val node = queue.dequeue()
       val p = node.pattern
-      if (p.isEmpty && !node.isLeaf) queue.enqueueAll(node.children)
+      if (node.count == 0) ()
+      else if (p.isEmpty && !node.isLeaf) queue.enqueueAll(node.children)
       else if (!targets.contains(p)) {
         val perTarget = targets.filter(Validate.validateAt(p, _, node.isLeaf)).flatMap { t =>
           val dag = Alignment.align(t, p)
@@ -263,7 +277,7 @@ class SynthesizerSpec extends AnyFunSuite {
   test("at 6 same-class tokens every path is ranked and the default plan keeps order") {
     val (source, target) = repeatedNumbers(6)
     assert(Alignment.align(target, source).allPlans().size < Alignment.PathBudget)
-    assert(Synthesizer.plansFor(source, target, k = 10).head == inOrder(6))
+    assert(plansFor(source, target, k = 10).head == inOrder(6))
   }
 
   test("Defect 1: at 8 and 10 same-class tokens the path budget hides the default plan") {
@@ -272,7 +286,7 @@ class SynthesizerSpec extends AnyFunSuite {
     pendingUntilFixed {
       for (n <- Seq(8, 10)) {
         val (source, target) = repeatedNumbers(n)
-        assert(Synthesizer.plansFor(source, target, k = 10).head == inOrder(n), s"$n tokens")
+        assert(plansFor(source, target, k = 10).head == inOrder(n), s"$n tokens")
       }
     }
   }

@@ -145,6 +145,15 @@ class PatternClusteringSparkSpec extends SparkSpec {
     assert(root.leaves.map(_.pattern).toSet == Synthesizer.hierarchyOf(present).leaves.map(_.pattern).toSet)
   }
 
+  test("an all-null column synthesizes to an empty result") {
+    import spark.implicits._
+    val root = PatternClusteringSpark.hierarchy(Seq(Option.empty[String], None, None).toDF("s"), "s")
+    assert(root.count == 0)
+    for (target <- Seq(Tokenizer.tokenize("(734) 645-8397"), Pattern.of(Token.lit("N"), Token.lit("/"), Token.lit("A"))))
+      assert(Synthesizer.synthesize(root, Seq(target)) == Synthesizer.Result(Vector.empty, Vector.empty),
+        target.render)
+  }
+
   test("hierarchy from a DataFrame equals the local hierarchy") {
     val strings = Seq("734-422-8073", "734.236.3466", "7344258397", "N/A")
     val viaSpark = PatternClusteringSpark.hierarchy(df(strings), "s")
