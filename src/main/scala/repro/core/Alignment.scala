@@ -26,8 +26,8 @@ object Alignment {
     /** The first `cap` source-to-sink paths as plans, depth first: from a
       * node, edges to a nearer node first, and one edge's ops in their order.
       *
-      * The reference enumeration: `Mdl.best` walks the same paths in the same
-      * order without building them; `MdlSpec`, `SynthesizerSpec` and the
+      * The reference enumeration: `Mdl.best` searches the same paths, at
+      * the same positions in this order, without building them; `MdlSpec`, `SynthesizerSpec` and the
       * benchmark's traced replay call this.
       */
     def allPlans(cap: Int = PathBudget): Vector[UniFi.Plan] = {

@@ -1,6 +1,6 @@
 package repro.core
 
-import UniFi.{ConstStr, Extract, Plan}
+import UniFi.{ConstStr, Extract, Plan, StringExpr}
 
 /** Appendix B: equivalent-plan detection and deduplication.
   *
@@ -21,12 +21,12 @@ object Dedup {
     */
   private final val Esc = '\u0000'
 
-  /** The canonical word of `plan` over `source`. */
-  private[core] def word(plan: Plan, source: Pattern): String = {
+  /** The piece of the canonical word over `source` that `op` writes. */
+  private[core] def piece(op: StringExpr, source: Pattern): String = {
     val w = new java.lang.StringBuilder
     def chars(s: String): Unit =
       s.foreach(c => if (c == Esc) w.append(Esc).append(Esc) else w.append(c))
-    plan.exprs.foreach {
+    op match {
       case ConstStr(s) => chars(s)
       case Extract(i, j) =>
         for (k <- i to j) source.tokens(k - 1).literalValue match {
@@ -34,6 +34,13 @@ object Dedup {
           case None    => w.append(Esc).append(((k >>> 16) + 1).toChar).append((k & 0xFFFF).toChar)
         }
     }
+    w.toString
+  }
+
+  /** The canonical word of `plan` over `source`: its ops' pieces in order. */
+  private[core] def word(plan: Plan, source: Pattern): String = {
+    val w = new java.lang.StringBuilder
+    plan.exprs.foreach(op => w.append(piece(op, source)))
     w.toString
   }
 

@@ -101,26 +101,56 @@ object Mdl {
     * `Dedup.dedup(rank(dags.flatMap(_.allPlans(budget)), source.size), source, k)`.
     * An infeasible DAG has no path and is skipped.
     *
-    * One ranked walk instead of enumerate, sort and dedup. Each DAG's paths
-    * are walked in `allPlans`' order, up to `budget` per DAG, and each
-    * path's `rank` keys but the render are carried along it: the data length
-    * summed left to right, the op count, the op types used (the model term
-    * is added at the sink) and the penalty via the last Extract. A path is a
-    * parent-pointer trie node plus its keys; a binary heap orders paths by
-    * those keys, then by position in the union. The paths tied with the
-    * head on DL, op count and penalty are popped as one group in position
-    * order, built as `Plan`s and stably sorted by `Plan.render`, which is
-    * `rank`'s order on them; the group then feeds the dedup until `k`
-    * classes are kept.
+    * A best-first search instead of enumerate, sort and dedup. A partial
+    * path carries `rank`'s keys but the render: the data length summed left
+    * to right, the op count, the op types used (the model term is added at
+    * the sink) and the penalty via the last Extract. It is ordered by a
+    * lower bound on the DL of its completions: its data length plus the
+    * least data length on to the sink, lowered by `Slack`. A heap orders
+    * partial and complete paths by that bound or the DL, partial paths
+    * first, then by op count, penalty and position in the union; popping a
+    * partial path pushes its children. A child whose first completion lies
+    * past the first `budget` paths of its DAG in `allPlans`' order is never
+    * made. When a complete path heads the heap, every path that ties with it
+    * on DL, op count and penalty is complete and in the heap: that group is
+    * popped in position order, stably sorted by render, which is `rank`'s
+    * order on it, and feeds the dedup until `k` classes are kept. Only a
+    * kept path becomes a `Plan`.
     */
   def best(dags: Seq[Alignment.Dag], source: Pattern, k: Int, budget: Int = Alignment.PathBudget): Vector[Plan] = {
     val feasible = dags.filter(_.isFeasible)
     // most hierarchy nodes validate against no target
-    if (feasible.isEmpty) Vector.empty else new Walk(feasible, source, budget).best(k)
+    if (feasible.isEmpty || budget <= 0) Vector.empty else new Search(feasible, source, budget).best(k)
   }
 
-  /** The paths and keys of one `best` call. */
-  private final class Walk(dags: Seq[Alignment.Dag], source: Pattern, budget: Int) {
+  /** Relative amount by which a partial path's bound is lowered. The bound
+    * sums the least remaining data length right to left, while a path's DL
+    * is summed left to right; the two roundings differ by far less.
+    */
+  private final val Slack = 1e-9
+
+  /** A path from the source node of DAG `dag` to `node`, as a trie node: its
+    * last op id `op` after `parent` (the empty path: -1 after `null`).
+    * `first` is the index in `allPlans`' order of its first completion;
+    * `key` is its DL when complete, else a lower bound on its completions'.
+    */
+  private final class Path(val parent: Path, val op: Int, val dag: Int, val node: Int, val first: Int,
+      val size: Int, val types: Int, val penalty: Int, val last: Extract, val data: Double,
+      val complete: Boolean, val key: Double)
+
+  /** Key or bound, partial paths first, op count, penalty, position in the union. */
+  private val order: java.util.Comparator[Path] = (x, y) => {
+    var c = java.lang.Double.compare(x.key, y.key)
+    if (c == 0) c = java.lang.Boolean.compare(x.complete, y.complete)
+    if (c == 0) c = Integer.compare(x.size, y.size)
+    if (c == 0) c = Integer.compare(x.penalty, y.penalty)
+    if (c == 0) c = Integer.compare(x.dag, y.dag)
+    if (c == 0) c = Integer.compare(x.first, y.first)
+    c
+  }
+
+  /** The DAGs and paths of one `best` call. */
+  private final class Search(dags: Seq[Alignment.Dag], source: Pattern, budget: Int) {
 
     // Edge ops: an id per (DAG, edge, op), with what a path's key needs.
     private val opsBuf = Vector.newBuilder[StringExpr]
@@ -141,116 +171,107 @@ object Mdl {
     private val ops = opsBuf.result().toArray
     private val opExtract = ops.map { case e: Extract => e; case _ => null }
     private val opData = { val e = extractLength(source.size); ops.map(opLength(_, e)) }
+    /** Canonical word pieces (`Dedup.piece`), made when first needed. */
+    private val pieces = new Array[String](ops.length)
 
-    // Trie of walked prefixes: node → parent node (-1: the empty prefix), op id.
-    private var trieParent, trieOp = new Array[Int](1024)
-    private var nTrie = 0
-    // Paths: trie node of the whole path, and its keys.
-    private var pathEnd, pathSize, pathPenalty = new Array[Int](256)
-    private var pathDl = new Array[Double](256)
-    private var nPaths = 0
-
-    private def newTrie(parent: Int, op: Int): Int = {
-      if (nTrie == trieParent.length) {
-        trieParent = java.util.Arrays.copyOf(trieParent, 2 * nTrie)
-        trieOp = java.util.Arrays.copyOf(trieOp, 2 * nTrie)
-      }
-      trieParent(nTrie) = parent; trieOp(nTrie) = op; nTrie += 1
-      nTrie - 1
-    }
-
-    private def addPath(end: Int, dl: Double, size: Int, penalty: Int): Unit = {
-      if (nPaths == pathEnd.length) {
-        val n = 2 * nPaths
-        pathEnd = java.util.Arrays.copyOf(pathEnd, n); pathSize = java.util.Arrays.copyOf(pathSize, n)
-        pathPenalty = java.util.Arrays.copyOf(pathPenalty, n); pathDl = java.util.Arrays.copyOf(pathDl, n)
-      }
-      pathEnd(nPaths) = end; pathDl(nPaths) = dl; pathSize(nPaths) = size
-      pathPenalty(nPaths) = penalty; nPaths += 1
-    }
-
-    /** `allPlans`' depth-first walk of DAG `d`, recording up to `budget` paths. */
-    private def walk(d: Int): Unit = {
+    /** Per DAG and node, from one backward pass: the least data length of a
+      * path on to the sink (infinite if there is none), and the number of
+      * such paths, saturated at `budget`.
+      */
+    private val (rest, count) = dags.indices.map { d =>
       val m = dags(d).m
-      val out = outOps(d); val next = outNext(d)
-      var count = 0
-      def go(node: Int, trie: Int, data: Double, size: Int, types: Int, penalty: Int, last: Extract): Unit =
-        if (node == m) {
-          addPath(trie, modelLength(size, Integer.bitCount(types)) + data, size, penalty)
-          count += 1
-        } else {
-          val ids = out(node); val ends = next(node)
-          var e = 0
-          while (e < ids.length && count < budget) {
-            val op = ids(e)
-            val x = opExtract(op)
-            go(ends(e), newTrie(trie, op), data + opData(op), size + 1, types | (if (x == null) 2 else 1),
-              if (x == null) penalty else penalty + penaltyStep(last, x), if (x == null) last else x)
-            e += 1
-          }
+      val least = Array.fill(m + 1)(Double.PositiveInfinity)
+      val paths = new Array[Int](m + 1)
+      least(m) = 0.0; paths(m) = 1
+      for (a <- m - 1 to 0 by -1) {
+        val ids = outOps(d)(a); val ends = outNext(d)(a)
+        var n = 0L
+        for (e <- ids.indices) {
+          least(a) = math.min(least(a), opData(ids(e)) + least(ends(e)))
+          n = math.min(budget.toLong, n + paths(ends(e)))
         }
-      if (budget > 0) go(0, -1, 0.0, 0, 0, 0, null)
+        paths(a) = n.toInt
+      }
+      (least, paths)
+    }.unzip
+
+    /** A path to `node` of DAG `dag` with the given keys, first completed at `first`. */
+    private def path(parent: Path, op: Int, dag: Int, node: Int, first: Int,
+        size: Int, types: Int, penalty: Int, last: Extract, data: Double): Path = {
+      val complete = node == dags(dag).m
+      val key =
+        if (complete) modelLength(size, Integer.bitCount(types)) + data
+        else (data + rest(dag)(node)) * (1 - Slack)
+      new Path(parent, op, dag, node, first, size, types, penalty, last, data, complete, key)
     }
 
-    dags.indices.foreach(walk)
-
-    /** The plan of path `p`. */
-    private def plan(p: Int): Plan = {
-      val exprs = new Array[StringExpr](pathSize(p))
-      var t = pathEnd(p); var i = exprs.length
-      while (t >= 0) { i -= 1; exprs(i) = ops(trieOp(t)); t = trieParent(t) }
-      Plan(exprs.toVector)
+    /** Push the children of `p` that reach the sink within the budget. */
+    private def expand(p: Path, heap: java.util.PriorityQueue[Path]): Unit = {
+      val ids = outOps(p.dag)(p.node); val ends = outNext(p.dag)(p.node); val paths = count(p.dag)
+      var first = p.first.toLong
+      var e = 0
+      while (e < ids.length && first < budget) {
+        val op = ids(e); val end = ends(e)
+        if (paths(end) > 0) {
+          val x = opExtract(op)
+          heap.add(
+            if (x == null) path(p, op, p.dag, end, first.toInt, p.size + 1, p.types | 2, p.penalty, p.last, p.data + opData(op))
+            else path(p, op, p.dag, end, first.toInt, p.size + 1, p.types | 1, p.penalty + penaltyStep(p.last, x), x, p.data + opData(op)))
+          first += paths(end)
+        }
+        e += 1
+      }
     }
 
-    /** `rank`'s keys but the render: DL, op count, penalty. */
-    private def compareKeys(x: Int, y: Int): Int = {
-      var c = java.lang.Double.compare(pathDl(x), pathDl(y))
-      if (c == 0) c = Integer.compare(pathSize(x), pathSize(y))
-      if (c == 0) c = Integer.compare(pathPenalty(x), pathPenalty(y))
-      c
+    /** The op ids of `p`, first to last. */
+    private def opIds(p: Path): Array[Int] = {
+      val ids = new Array[Int](p.size)
+      var t = p
+      for (i <- ids.indices.reverse) { ids(i) = t.op; t = t.parent }
+      ids
     }
 
-    /** Those keys, then position in the union. */
-    private def before(x: Int, y: Int): Boolean = {
-      val c = compareKeys(x, y)
-      c < 0 || c == 0 && x < y
+    /** `Plan.render` of `p`'s plan. */
+    private def render(p: Path): String = {
+      val r = new java.lang.StringBuilder("Concat(")
+      val ids = opIds(p)
+      for (i <- ids.indices) { if (i > 0) r.append(", "); r.append(ops(ids(i)).render) }
+      r.append(')').toString
     }
+
+    /** `Dedup.word` of `p`'s plan. */
+    private def word(p: Path): String = {
+      val w = new java.lang.StringBuilder
+      opIds(p).foreach { o =>
+        if (pieces(o) == null) pieces(o) = Dedup.piece(ops(o), source)
+        w.append(pieces(o))
+      }
+      w.toString
+    }
+
+    /** Ties with complete path `head` on every key but the render. */
+    private def tied(p: Path, head: Path): Boolean =
+      p.complete && p.key == head.key && p.size == head.size && p.penalty == head.penalty
 
     def best(k: Int): Vector[Plan] = {
-      // binary min-heap of path indices
-      val heap = Array.range(0, nPaths)
-      var n = nPaths
-      def siftDown(from: Int): Unit = {
-        var i = from
-        val p = heap(i)
-        var done = false
-        while (!done) {
-          var c = 2 * i + 1
-          if (c >= n) done = true
-          else {
-            if (c + 1 < n && before(heap(c + 1), heap(c))) c += 1
-            if (before(heap(c), p)) { heap(i) = heap(c); i = c } else done = true
-          }
-        }
-        heap(i) = p
-      }
-      for (i <- n / 2 - 1 to 0 by -1) siftDown(i)
-
+      val heap = new java.util.PriorityQueue[Path](order)
+      dags.indices.foreach(d => heap.add(path(null, -1, d, 0, 0, 0, 0, 0, null, 0.0)))
       val seen = new java.util.HashSet[String]
       val kept = Vector.newBuilder[Plan]
-      while (n > 0 && seen.size < k) {
-        val head = heap(0)
-        val group = Vector.newBuilder[Plan]
-        while (n > 0 && compareKeys(heap(0), head) == 0) {
-          group += plan(heap(0))
-          n -= 1
-          heap(0) = heap(n)
-          if (n > 0) siftDown(0)
-        }
-        val ranked = group.result().sortBy(_.render).iterator
-        while (ranked.hasNext && seen.size < k) {
-          val p = ranked.next()
-          if (seen.add(Dedup.word(p, source))) kept += p
+      while (!heap.isEmpty && seen.size < k) {
+        val head = heap.poll()
+        if (!head.complete) expand(head, heap)
+        else {
+          val group = Vector.newBuilder[Path]
+          group += head
+          while (!heap.isEmpty && tied(heap.peek(), head)) group += heap.poll()
+          val paths = group.result()
+          val ranked = if (paths.size == 1) paths else paths.map(p => (render(p), p)).sortBy(_._1).map(_._2)
+          val it = ranked.iterator
+          while (it.hasNext && seen.size < k) {
+            val p = it.next()
+            if (seen.add(word(p))) kept += Plan(opIds(p).iterator.map(ops(_)).toVector)
+          }
         }
       }
       kept.result()

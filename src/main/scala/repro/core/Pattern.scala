@@ -205,7 +205,10 @@ final case class Pattern(tokens: Vector[Token]) {
     Pattern(out.result())
   }
 
-  override def toString: String = render
+  /** `render`, except that the empty pattern, which renders as nothing,
+    * prints as `Pattern.empty`.
+    */
+  override def toString: String = if (isEmpty) "Pattern.empty" else render
 }
 
 object Pattern {

@@ -45,7 +45,7 @@ object Synthesizer {
     *
     * A source's candidate plans are the union of its plans toward every
     * target it validates against, ranked by MDL and deduplicated once, in one
-    * ranked walk (`Mdl.best`). An MDL rank key belongs to one plan and
+    * best-first search (`Mdl.best`). An MDL rank key belongs to one plan and
     * Appendix B classes are equal words, so this keeps the same plans as
     * ranking and deduplicating per target first.
     *

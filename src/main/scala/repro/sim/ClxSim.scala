@@ -81,8 +81,10 @@ object ClxSim {
     val choices = scala.collection.mutable.Map.empty[Pattern, Int]
     result.solutions.foreach { sol =>
       assigned.get(sol.source).foreach { recs =>
+        // each record's token values, split once for every plan tried
+        val split = recs.map { case (in, out) => (sol.source.split(in), out) }
         def planCorrect(p: Plan): Boolean =
-          recs.forall { case (in, out) => sol.source.split(in).flatMap(p.eval).contains(out) }
+          split.forall { case (values, out) => values.flatMap(p.eval).contains(out) }
         val idx = sol.plans.indexWhere(planCorrect)
         if (idx > 0) { repairs += 1; choices(sol.source) = idx }
         // idx == -1: no suggested plan fixes the branch; the user keeps

@@ -123,7 +123,7 @@ class AlignmentSpec extends AnyFunSuite {
     val dag = Alignment.align(src, src)
     val first10 = dag.allPlans(cap = 10)
     val classes = first10.map(Dedup.word(_, src)).toSet
-    // later paths hold classes of their own, which the walk must not reach
+    // later paths hold classes of their own, which the search must not reach
     assert(dag.allPlans(cap = 100).exists(pl => !classes.contains(Dedup.word(pl, src))))
     val kept = Mdl.best(Seq(dag), src, k = 100, budget = 10)
     assert(kept.map(Dedup.word(_, src)).toSet == classes)

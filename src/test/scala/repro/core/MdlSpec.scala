@@ -96,7 +96,7 @@ class MdlSpec extends AnyFunSuite {
     assert(ranked(1) eq y)
   }
 
-  // The ranked walk `Mdl.best` against enumerate → rank → dedup.
+  // The best-first search `Mdl.best` against enumerate → rank → dedup.
 
   private val Budgets = Seq(1, 7, Alignment.PathBudget)
 
@@ -104,18 +104,28 @@ class MdlSpec extends AnyFunSuite {
   private def bestReference(dags: Seq[Alignment.Dag], source: Pattern, k: Int, budget: Int): Vector[Plan] =
     Dedup.dedup(Mdl.rank(dags.flatMap(_.allPlans(budget)), source.size), source, maxKeep = k)
 
-  /** Equal plans built from the same op instances: the walk keeps the very
-    * path the reference keeps, not just an equal plan from another DAG.
+  /** Equal plans built from the same op instances: the search keeps the
+    * very path the reference keeps, not just an equal plan from another DAG.
     */
   private def samePaths(a: Vector[Plan], b: Vector[Plan]): Boolean =
     a == b && a.zip(b).forall { case (x, y) => x.exprs.corresponds(y.exprs)(_ eq _) }
 
   private def assertBestLikeReference(dags: Seq[Alignment.Dag], source: Pattern, ks: Seq[Int] = Seq(1, 10, 40)): Unit =
     for (budget <- Budgets; k <- ks) {
-      val walked = Mdl.best(dags, source, k, budget)
+      val searched = Mdl.best(dags, source, k, budget)
       val reference = bestReference(dags, source, k, budget)
-      assert(samePaths(walked, reference), s"budget $budget, k $k: ${walked.map(_.render)} vs ${reference.map(_.render)}")
+      assert(samePaths(searched, reference), s"budget $budget, k $k: ${searched.map(_.render)} vs ${reference.map(_.render)}")
     }
+
+  /** `best` at k = 1, 10 and 40 against the prefixes of one reference at k = 40. */
+  private def assertPrefixesOfReference(dags: Seq[Alignment.Dag], source: Pattern, budget: Int, clue: String): Unit = {
+    val reference = bestReference(dags, source, 40, budget)
+    for (k <- Seq(1, 10, 40)) {
+      val searched = Mdl.best(dags, source, k, budget)
+      assert(samePaths(searched, reference.take(k)),
+        s"$clue, budget $budget, k $k: ${searched.map(_.render)} vs ${reference.take(k).map(_.render)}")
+    }
+  }
 
   /** The paths of `dags` tied with the `k`-th plan `best` keeps on every key
     * but the render: the group `best` cuts at `k`, in position order.
@@ -195,6 +205,22 @@ class MdlSpec extends AnyFunSuite {
     val group = groupCutAt(dags, source, 10)
     assert(group.size > 10 && group.sortBy(_.render) != group, s"group of ${group.size}")
     assertBestLikeReference(dags, source, ks = Seq(1, 10, 40, 1000))
+  }
+
+  test("best equals enumerate, rank and dedup on every corpus call") {
+    assert(CorpusCalls.all.size == 286)
+    for (call <- CorpusCalls.all; budget <- Budgets)
+      assertPrefixesOfReference(call.dags, call.source, budget, s"${call.task}: ${call.source}")
+  }
+
+  test("best on Defect 1's `12 12 … 12` → `12-12-…-12` at 8, 10 and 20 tokens") {
+    // 20²⁰ paths at 20 tokens, past the Long range: the search's path
+    // counts must saturate at the budget
+    for (n <- Seq(8, 10, 20)) {
+      val source = Tokenizer.tokenize(Seq.fill(n)("12").mkString(" "))
+      val target = Tokenizer.tokenize(Seq.fill(n)("12").mkString("-"))
+      assertPrefixesOfReference(Seq(Alignment.align(target, source)), source, Alignment.PathBudget, s"$n tokens")
+    }
   }
 
   test("best keeps nothing without a feasible DAG or with k = 0") {

@@ -29,6 +29,13 @@ class PatternSpec extends AnyFunSuite {
     assert(!phone.matches("x(201) 555-0100"))
   }
 
+  test("the empty pattern renders as nothing but prints visibly") {
+    assert(Pattern.empty.render == "")
+    assert(Pattern.empty.toString == "Pattern.empty")
+    assert(Synthesizer.Result(Vector.empty, Vector(Pattern.empty)).toString == "Result(Vector(),Vector(Pattern.empty))")
+    assert(phone.toString == phone.render)
+  }
+
   test("split returns per-token substrings") {
     assert(phone.split("(734) 645-8397") ==
       Some(Vector("(", "734", ")", " ", "645", "-", "8397")))

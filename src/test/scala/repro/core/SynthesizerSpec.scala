@@ -218,7 +218,7 @@ class SynthesizerSpec extends AnyFunSuite {
         val reference = rankPerTargetFirst(root, targets, k, () => capped(task.id) += 1)
         assert(Synthesizer.synthesize(root, targets, k) == reference, s"${task.id}, k = $k")
       }
-      // the walk stopped at the path budget where the reference did
+      // the search stopped at the path budget where the reference did
       assert(capped.toMap == Map("prose-popl13" -> 6), s"k = $k")
     }
   }
