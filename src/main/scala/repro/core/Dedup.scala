@@ -44,10 +44,6 @@ object Dedup {
     w.toString
   }
 
-  /** Are `p1` and `p2` equivalent w.r.t. `source`? */
-  def equivalent(p1: Plan, p2: Plan, source: Pattern): Boolean =
-    word(p1, source) == word(p2, source)
-
   /** Keep only the first (i.e. simplest, given DL-sorted input) plan of
     * each equivalence class, preserving order; stops after `maxKeep` kept
     * plans.

@@ -13,9 +13,11 @@ import UniFi.{ConstStr, Extract, Plan, StringExpr}
   * Logs are base 2; log₂ 1 = 0, matching the paper's Example 9 where a
   * single-op plan contributes no model cost.
   *
-  * The per-op data length, the model term and the penalty step are defined
-  * once below; `length`, `orderPenalty`, `rank` and `best` all call them, so
-  * every caller computes bit-identical keys.
+  * So a plan's DL depends only on four counts: its ops n, its Extracts e,
+  * its ConstStr characters c, and whether both op types occur. It is
+  * `[0 < e < n]·n + e·log₂|P|² + c·log₂ 95`. `dl` alone turns counts into
+  * a DL, and `length`, `rank` and `best` all call it, so every caller
+  * computes bit-identical keys, whatever the order of a plan's ops.
   */
 object Mdl {
 
@@ -24,39 +26,33 @@ object Mdl {
   /** log₂ 95: the data length of one printable character. */
   private val CharLength = log2(95.0)
 
-  /** log₂ max(1, m) for m = 0, 1, 2 distinct op types. */
-  private val TypeLength = Array(log2(1), log2(1), log2(2))
-
   /** Data length of one Extract over a source of `sourceSize` tokens: log₂ |P|². */
   private def extractLength(sourceSize: Int): Double = log2(math.max(1, sourceSize.toDouble * sourceSize))
 
-  /** Data length of one op, given `extractLength` of the source. */
-  private def opLength(op: StringExpr, extract: Double): Double = op match {
-    case _: Extract  => extract
-    case ConstStr(s) => s.length * CharLength
-  }
+  /** Data length L(T|E) (Eq. 5) of `extracts` Extracts and `chars` ConstStr
+    * characters. Both factors are ≥ 0, so in doubles too it never falls when
+    * either count grows.
+    */
+  private def data(extracts: Int, chars: Int, extractLength: Double): Double =
+    extracts * extractLength + chars * CharLength
 
-  /** Model length L(E) of `ops` operations of `types` distinct types (Eq. 4). */
-  private def modelLength(ops: Int, types: Int): Double = if (ops == 0) 0.0 else ops * TypeLength(types)
-
-  /** Model description length L(E) (Eq. 4). */
-  def modelLength(plan: Plan): Double = {
-    val ops = plan.exprs
-    modelLength(ops.size,
-      (if (ops.exists(_.isInstanceOf[Extract])) 1 else 0) + (if (ops.exists(_.isInstanceOf[ConstStr])) 1 else 0))
-  }
-
-  /** Data description length L(T|E) (Eq. 5), given the source pattern size. */
-  def dataLength(plan: Plan, sourceSize: Int): Double = {
-    val extract = extractLength(sourceSize)
-    var sum = 0.0
-    plan.exprs.foreach(op => sum += opLength(op, extract))
-    sum
-  }
+  /** L(E,T) (Eq. 3) of a plan of `ops` ops, `extracts` of them Extracts,
+    * whose ConstStrs hold `chars` characters. The model length (Eq. 4) is
+    * `ops`·log₂ 2 = `ops` when both op types occur and `ops`·log₂ 1 = 0
+    * otherwise.
+    */
+  private def dl(ops: Int, extracts: Int, chars: Int, extractLength: Double): Double =
+    (if (0 < extracts && extracts < ops) ops else 0) + data(extracts, chars, extractLength)
 
   /** Total description length L(E,T) (Eq. 3). */
-  def length(plan: Plan, sourceSize: Int): Double =
-    modelLength(plan) + dataLength(plan, sourceSize)
+  def length(plan: Plan, sourceSize: Int): Double = {
+    var extracts, chars = 0
+    plan.exprs.foreach {
+      case _: Extract  => extracts += 1
+      case ConstStr(s) => chars += s.length
+    }
+    dl(plan.exprs.size, extracts, chars, extractLength(sourceSize))
+  }
 
   /** What Extract `b` adds to `orderPenalty` after the plan's previous
     * Extract `prev` (`null` when `b` is the first).
@@ -102,20 +98,19 @@ object Mdl {
     * An infeasible DAG has no path and is skipped.
     *
     * A best-first search instead of enumerate, sort and dedup. A partial
-    * path carries `rank`'s keys but the render: the data length summed left
-    * to right, the op count, the op types used (the model term is added at
-    * the sink) and the penalty via the last Extract. It is ordered by a
-    * lower bound on the DL of its completions: its data length plus the
-    * least data length on to the sink, lowered by `Slack`. A heap orders
-    * partial and complete paths by that bound or the DL, partial paths
-    * first, then by op count, penalty and position in the union; popping a
-    * partial path pushes its children. A child whose first completion lies
-    * past the first `budget` paths of its DAG in `allPlans`' order is never
-    * made. When a complete path heads the heap, every path that ties with it
-    * on DL, op count and penalty is complete and in the heap: that group is
-    * popped in position order, stably sorted by render, which is `rank`'s
-    * order on it, and feeds the dedup until `k` classes are kept. Only a
-    * kept path becomes a `Plan`.
+    * path carries `rank`'s keys but the render: its op, Extract and
+    * character counts and the penalty via the last Extract. It is ordered
+    * by a lower bound on the DL of its completions: the data length of its
+    * counts plus the least Extract and character counts on to the sink,
+    * each taken alone. A heap orders partial and complete paths by that
+    * bound or the DL, partial paths first, then by op count, penalty and
+    * position in the union; popping a partial path pushes its children. A
+    * child whose first completion lies past the first `budget` paths of its
+    * DAG in `allPlans`' order is never made. When a complete path heads the
+    * heap, every path that ties with it on DL, op count and penalty is
+    * complete and in the heap: that group is popped in position order,
+    * stably sorted by render, which is `rank`'s order on it, and feeds the
+    * dedup until `k` classes are kept. Only a kept path becomes a `Plan`.
     */
   def best(dags: Seq[Alignment.Dag], source: Pattern, k: Int, budget: Int = Alignment.PathBudget): Vector[Plan] = {
     val feasible = dags.filter(_.isFeasible)
@@ -123,19 +118,13 @@ object Mdl {
     if (feasible.isEmpty || budget <= 0) Vector.empty else new Search(feasible, source, budget).best(k)
   }
 
-  /** Relative amount by which a partial path's bound is lowered. The bound
-    * sums the least remaining data length right to left, while a path's DL
-    * is summed left to right; the two roundings differ by far less.
-    */
-  private final val Slack = 1e-9
-
   /** A path from the source node of DAG `dag` to `node`, as a trie node: its
     * last op id `op` after `parent` (the empty path: -1 after `null`).
     * `first` is the index in `allPlans`' order of its first completion;
     * `key` is its DL when complete, else a lower bound on its completions'.
     */
   private final class Path(val parent: Path, val op: Int, val dag: Int, val node: Int, val first: Int,
-      val size: Int, val types: Int, val penalty: Int, val last: Extract, val data: Double,
+      val size: Int, val extracts: Int, val chars: Int, val penalty: Int, val last: Extract,
       val complete: Boolean, val key: Double)
 
   /** Key or bound, partial paths first, op count, penalty, position in the union. */
@@ -170,39 +159,44 @@ object Mdl {
     }.unzip
     private val ops = opsBuf.result().toArray
     private val opExtract = ops.map { case e: Extract => e; case _ => null }
-    private val opData = { val e = extractLength(source.size); ops.map(opLength(_, e)) }
+    private val opChars = ops.map { case ConstStr(s) => s.length; case _ => 0 }
+    private val extract = extractLength(source.size)
     /** Canonical word pieces (`Dedup.piece`), made when first needed. */
     private val pieces = new Array[String](ops.length)
 
-    /** Per DAG and node, from one backward pass: the least data length of a
-      * path on to the sink (infinite if there is none), and the number of
-      * such paths, saturated at `budget`.
+    /** Per DAG and node, from one backward pass: the least Extract count and
+      * the least character count of a path on to the sink, each taken alone,
+      * and the number of such paths, saturated at `budget`. A node with no
+      * such path is never reached and keeps `Int.MaxValue` counts.
       */
-    private val (rest, count) = dags.indices.map { d =>
+    private val (minE, minC, count) = dags.indices.map { d =>
       val m = dags(d).m
-      val least = Array.fill(m + 1)(Double.PositiveInfinity)
+      val leastE, leastC = Array.fill(m + 1)(Int.MaxValue)
       val paths = new Array[Int](m + 1)
-      least(m) = 0.0; paths(m) = 1
+      leastE(m) = 0; leastC(m) = 0; paths(m) = 1
       for (a <- m - 1 to 0 by -1) {
         val ids = outOps(d)(a); val ends = outNext(d)(a)
         var n = 0L
-        for (e <- ids.indices) {
-          least(a) = math.min(least(a), opData(ids(e)) + least(ends(e)))
-          n = math.min(budget.toLong, n + paths(ends(e)))
+        for (e <- ids.indices; b = ends(e) if paths(b) > 0) {
+          leastE(a) = math.min(leastE(a), (if (opExtract(ids(e)) == null) 0 else 1) + leastE(b))
+          leastC(a) = math.min(leastC(a), opChars(ids(e)) + leastC(b))
+          n = math.min(budget.toLong, n + paths(b))
         }
         paths(a) = n.toInt
       }
-      (least, paths)
-    }.unzip
+      (leastE, leastC, paths)
+    }.unzip3
 
     /** A path to `node` of DAG `dag` with the given keys, first completed at `first`. */
     private def path(parent: Path, op: Int, dag: Int, node: Int, first: Int,
-        size: Int, types: Int, penalty: Int, last: Extract, data: Double): Path = {
+        size: Int, extracts: Int, chars: Int, penalty: Int, last: Extract): Path = {
       val complete = node == dags(dag).m
+      // a completion has at least these counts, `data` never falls as a
+      // count grows and the model term is ≥ 0: a lower bound bit for bit
       val key =
-        if (complete) modelLength(size, Integer.bitCount(types)) + data
-        else (data + rest(dag)(node)) * (1 - Slack)
-      new Path(parent, op, dag, node, first, size, types, penalty, last, data, complete, key)
+        if (complete) dl(size, extracts, chars, extract)
+        else data(extracts + minE(dag)(node), chars + minC(dag)(node), extract)
+      new Path(parent, op, dag, node, first, size, extracts, chars, penalty, last, complete, key)
     }
 
     /** Push the children of `p` that reach the sink within the budget. */
@@ -215,8 +209,8 @@ object Mdl {
         if (paths(end) > 0) {
           val x = opExtract(op)
           heap.add(
-            if (x == null) path(p, op, p.dag, end, first.toInt, p.size + 1, p.types | 2, p.penalty, p.last, p.data + opData(op))
-            else path(p, op, p.dag, end, first.toInt, p.size + 1, p.types | 1, p.penalty + penaltyStep(p.last, x), x, p.data + opData(op)))
+            if (x == null) path(p, op, p.dag, end, first.toInt, p.size + 1, p.extracts, p.chars + opChars(op), p.penalty, p.last)
+            else path(p, op, p.dag, end, first.toInt, p.size + 1, p.extracts + 1, p.chars, p.penalty + penaltyStep(p.last, x), x))
           first += paths(end)
         }
         e += 1
@@ -255,7 +249,7 @@ object Mdl {
 
     def best(k: Int): Vector[Plan] = {
       val heap = new java.util.PriorityQueue[Path](order)
-      dags.indices.foreach(d => heap.add(path(null, -1, d, 0, 0, 0, 0, 0, null, 0.0)))
+      dags.indices.foreach(d => heap.add(path(null, -1, d, 0, 0, 0, 0, 0, 0, null)))
       val seen = new java.util.HashSet[String]
       val kept = Vector.newBuilder[Plan]
       while (!heap.isEmpty && seen.size < k) {

@@ -10,38 +10,42 @@ import UniFi.{ConstStr, Extract, Plan, StringExpr}
 /** Appendix B: equivalent-plan detection. */
 class DedupSpec extends AnyFunSuite {
 
+  /** Definition 6.2 equivalence w.r.t. `source`: equal canonical words. */
+  private def equivalent(p1: Plan, p2: Plan, source: Pattern): Boolean =
+    Dedup.word(p1, source) == Dedup.word(p2, source)
+
   // source <D>2 '/' <D>2 — the paper's own example
   private val src = Pattern.of(Token(D, 2), Token.lit("/"), Token(D, 2))
 
   test("paper's example: Extract(2) of '/' equals ConstStr('/')") {
     val p1 = Plan(Vector(Extract(3), ConstStr("/"), Extract(1)))
     val p2 = Plan(Vector(Extract(3), Extract(2), Extract(1)))
-    assert(Dedup.equivalent(p1, p2, src))
+    assert(equivalent(p1, p2, src))
   }
 
   test("multi-token extract is split before comparison") {
     val p1 = Plan(Vector(Extract(1, 3)))
     val p2 = Plan(Vector(Extract(1), Extract(2), Extract(3)))
-    assert(Dedup.equivalent(p1, p2, src))
+    assert(equivalent(p1, p2, src))
   }
 
   test("extract of a constant-valued base token is NOT a ConstStr equivalent") {
     // token 1 is <D>2 (not a literal): its value varies per string
     val p1 = Plan(Vector(Extract(1)))
     val p2 = Plan(Vector(ConstStr("12")))
-    assert(!Dedup.equivalent(p1, p2, src))
+    assert(!equivalent(p1, p2, src))
   }
 
   test("different lengths after atomization are not equivalent") {
     val p1 = Plan(Vector(Extract(1, 2)))
     val p2 = Plan(Vector(Extract(1)))
-    assert(!Dedup.equivalent(p1, p2, src))
+    assert(!equivalent(p1, p2, src))
   }
 
   test("different extractions are not equivalent") {
     val p1 = Plan(Vector(Extract(1)))
     val p2 = Plan(Vector(Extract(3)))
-    assert(!Dedup.equivalent(p1, p2, src))
+    assert(!equivalent(p1, p2, src))
   }
 
   test("dedup keeps the first representative of each class") {
@@ -59,26 +63,26 @@ class DedupSpec extends AnyFunSuite {
   test("equivalence is symmetric") {
     val p1 = Plan(Vector(ConstStr("/")))
     val p2 = Plan(Vector(Extract(2)))
-    assert(Dedup.equivalent(p1, p2, src) && Dedup.equivalent(p2, p1, src))
+    assert(equivalent(p1, p2, src) && equivalent(p2, p1, src))
   }
 
   test("extracts of two equal literal tokens are equivalent") {
     val ip = Pattern.of(Token(D, 3), Token.lit("."), Token(D, 3), Token.lit("."), Token(D, 3))
-    assert(Dedup.equivalent(Plan(Vector(Extract(2))), Plan(Vector(Extract(4))), ip))
+    assert(equivalent(Plan(Vector(Extract(2))), Plan(Vector(Extract(4))), ip))
     assert(Dedup.dedup(Seq(Plan(Vector(Extract(1, 2))), Plan(Vector(Extract(1), Extract(4)))), ip).size == 1)
   }
 
   test("a ConstStr equals its split into shorter ConstStrs") {
-    assert(Dedup.equivalent(Plan(Vector(ConstStr("ab"))), Plan(Vector(ConstStr("a"), ConstStr("b"))), src))
-    assert(Dedup.equivalent(
+    assert(equivalent(Plan(Vector(ConstStr("ab"))), Plan(Vector(ConstStr("a"), ConstStr("b"))), src))
+    assert(equivalent(
       Plan(Vector(Extract(1), ConstStr("/-"))), Plan(Vector(Extract(1, 2), ConstStr("-"))), src))
   }
 
   test("an escape-like constant and a large token index stay distinct") {
     // a NUL in a constant must not read as the index marker
-    assert(!Dedup.equivalent(Plan(Vector(ConstStr("\u0000\u0001\u0001"))), Plan(Vector(Extract(1))), src))
+    assert(!equivalent(Plan(Vector(ConstStr("\u0000\u0001\u0001"))), Plan(Vector(Extract(1))), src))
     val wide = Pattern(Vector.fill(65537)(Token(D, 1)))
-    assert(!Dedup.equivalent(Plan(Vector(Extract(65537))), Plan(Vector(Extract(1))), wide))
+    assert(!equivalent(Plan(Vector(Extract(65537))), Plan(Vector(Extract(1))), wide))
   }
 
   test("sygus-initials-long keeps one plan per class") {
@@ -149,7 +153,7 @@ class DedupSpec extends AnyFunSuite {
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000),
       Prop.forAllNoShrink(cases) { case (source, p1, p2, samples) =>
         val outputsAgree = samples.forall(v => p1.eval(v) == p2.eval(v))
-        if (Dedup.equivalent(p1, p2, source)) { same += 1; outputsAgree }
+        if (equivalent(p1, p2, source)) { same += 1; outputsAgree }
         else { different += 1; !outputsAgree }
       })
     assert(res.passed, res.status.toString)

@@ -11,21 +11,54 @@ class MdlSpec extends AnyFunSuite {
   private val e13 = Plan(Vector(Extract(1, 3)))
   private val split = Plan(Vector(Extract(1), ConstStr("/"), Extract(3)))
 
+  private def log2(x: Double) = math.log(x) / math.log(2)
+
+  // L(E,T) = L(E) (Eq. 4) + L(T|E) (Eq. 5)
+
   test("model length of a single-op plan is zero (log2 1)") {
-    assert(Mdl.modelLength(e13) == 0.0)
+    assert(math.abs(Mdl.length(e13, 5) - (0.0 + log2(25))) < 1e-9) // model 0, one Extract
   }
 
   test("model length counts ops times log2 of distinct op types") {
-    assert(Mdl.modelLength(split) == 3.0) // 3 ops, 2 types -> 3·log2(2)
+    // 3 ops, 2 types -> 3·log2(2), plus two Extracts and one character
+    assert(math.abs(Mdl.length(split, 5) - (3.0 + 2 * log2(25) + log2(95))) < 1e-9)
   }
 
   test("data length of an Extract is log2 |P|^2") {
-    assert(math.abs(Mdl.dataLength(e13, 5) - math.log(25) / math.log(2)) < 1e-9)
+    assert(math.abs(Mdl.length(e13, 5) - log2(25)) < 1e-9)
   }
 
   test("data length of a ConstStr is |s|·log2 95") {
     val c = Plan(Vector(ConstStr("ab")))
-    assert(math.abs(Mdl.dataLength(c, 5) - 2 * math.log(95) / math.log(2)) < 1e-9)
+    assert(math.abs(Mdl.length(c, 5) - (0.0 + 2 * log2(95))) < 1e-9)
+  }
+
+  /** Plans of 1-6 ops over a source of `n` tokens. */
+  private def plans(n: Int): Gen[Plan] = Gen.choose(1, 6).flatMap(Gen.listOfN(_, Gen.oneOf(
+    Gen.choose(1, n).flatMap(i => Gen.choose(i, n).map(Extract(i, _))),
+    Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.alphaNumChar)).map(cs => ConstStr(cs.mkString))))
+  ).map(ops => Plan(ops.toVector))
+
+  test("description length is the same double for every order of a plan's ops") {
+    // summed op by op left to right, these two read 22.857567987880397 and 22.8575679878804
+    val forward = Plan(Vector(Extract(1), Extract(1), ConstStr("a")))
+    assert(Mdl.length(forward, 10) == Mdl.length(Plan(forward.exprs.reverse), 10))
+    val cases = for {
+      n <- Gen.choose(1, 12)
+      p <- plans(n)
+      seed <- Gen.long
+    } yield (n, p, Plan(new scala.util.Random(seed).shuffle(p.exprs)))
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000),
+      Prop.forAllNoShrink(cases) { case (n, p, q) => Mdl.length(p, n) == Mdl.length(q, n) })
+    assert(res.passed, res.status.toString)
+  }
+
+  test("rank orders plans that differ only in op order by op count, penalty and render") {
+    // 3 ops and penalty 2 each, so the render decides: ConstStr before Extract
+    val forward = Plan(Vector(Extract(1), Extract(1), ConstStr("a")))
+    val reverse = Plan(Vector(ConstStr("a"), Extract(1), Extract(1)))
+    assert(Mdl.orderPenalty(forward) == 2 && Mdl.orderPenalty(reverse) == 2)
+    assert(Mdl.rank(Seq(forward, reverse), 10) == Vector(reverse, forward))
   }
 
   test("paper Example 9: single combined extract beats split plan") {
