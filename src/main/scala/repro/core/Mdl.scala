@@ -110,12 +110,15 @@ object Mdl {
     * heap, every path that ties with it on DL, op count and penalty is
     * complete and in the heap: that group is popped in position order,
     * stably sorted by render, which is `rank`'s order on it, and feeds the
-    * dedup until `k` classes are kept. Only a kept path becomes a `Plan`.
+    * dedup until `k` classes are kept, or every class of the DAGs when they
+    * hold fewer: the backward pass counts each node's distinct canonical
+    * words on to the sink, up to more than `k`. Only a kept path becomes a
+    * `Plan`.
     */
   def best(dags: Seq[Alignment.Dag], source: Pattern, k: Int, budget: Int = Alignment.PathBudget): Vector[Plan] = {
     val feasible = dags.filter(_.isFeasible)
     // most hierarchy nodes validate against no target
-    if (feasible.isEmpty || budget <= 0) Vector.empty else new Search(feasible, source, budget).best(k)
+    if (feasible.isEmpty || budget <= 0) Vector.empty else new Search(feasible, source, k, budget).best
   }
 
   /** A path from the source node of DAG `dag` to `node`, as a trie node: its
@@ -139,7 +142,7 @@ object Mdl {
   }
 
   /** The DAGs and paths of one `best` call. */
-  private final class Search(dags: Seq[Alignment.Dag], source: Pattern, budget: Int) {
+  private final class Search(dags: Seq[Alignment.Dag], source: Pattern, k: Int, budget: Int) {
 
     // Edge ops: an id per (DAG, edge, op), with what a path's key needs.
     private val opsBuf = Vector.newBuilder[StringExpr]
@@ -161,31 +164,79 @@ object Mdl {
     private val opExtract = ops.map { case e: Extract => e; case _ => null }
     private val opChars = ops.map { case ConstStr(s) => s.length; case _ => 0 }
     private val extract = extractLength(source.size)
-    /** Canonical word pieces (`Dedup.piece`), made when first needed. */
     private val pieces = new Array[String](ops.length)
 
-    /** Per DAG and node, from one backward pass: the least Extract count and
-      * the least character count of a path on to the sink, each taken alone,
-      * and the number of such paths, saturated at `budget`. A node with no
-      * such path is never reached and keeps `Int.MaxValue` counts.
+    /** The canonical word piece (`Dedup.piece`) of op `op`, made when first needed. */
+    private def piece(op: Int): String = {
+      if (pieces(op) == null) pieces(op) = Dedup.piece(ops(op), source)
+      pieces(op)
+    }
+
+    /** Per DAG and node, from the backward pass below: the least Extract
+      * count and the least character count of a path on to the sink, each
+      * taken alone, and the number of such paths, saturated at `budget`. A
+      * node with no such path is never reached and keeps `Int.MaxValue`
+      * counts.
       */
-    private val (minE, minC, count) = dags.indices.map { d =>
-      val m = dags(d).m
-      val leastE, leastC = Array.fill(m + 1)(Int.MaxValue)
-      val paths = new Array[Int](m + 1)
-      leastE(m) = 0; leastC(m) = 0; paths(m) = 1
-      for (a <- m - 1 to 0 by -1) {
-        val ids = outOps(d)(a); val ends = outNext(d)(a)
-        var n = 0L
-        for (e <- ids.indices; b = ends(e) if paths(b) > 0) {
-          leastE(a) = math.min(leastE(a), (if (opExtract(ids(e)) == null) 0 else 1) + leastE(b))
-          leastC(a) = math.min(leastC(a), opChars(ids(e)) + leastC(b))
-          n = math.min(budget.toLong, n + paths(b))
+    private val minE, minC, count = new Array[Array[Int]](dags.size)
+
+    /** How many classes `best` keeps: `k`, or the number of canonical words
+      * (`Dedup.word`) of every path of every DAG when that is smaller. The
+      * first path popped with a word is its class's best path, so once this
+      * many words are kept no path left can add a class. The budgeted
+      * paths' words are a subset of all words, so under the budget too the
+      * stop comes only once no path is left with a new word.
+      *
+      * The same backward pass collects each node's distinct words on to the
+      * sink, or `null` once there are more than `k`, and their union over
+      * the DAGs' source nodes, or `null` once it passes `k`; after that no
+      * DAG's words are collected.
+      */
+    private val classes = {
+      var union = new java.util.HashSet[String]
+      for (d <- dags.indices) {
+        val m = dags(d).m
+        val leastE, leastC = Array.fill(m + 1)(Int.MaxValue)
+        val paths = new Array[Int](m + 1)
+        val words = new Array[Array[String]](m + 1)
+        leastE(m) = 0; leastC(m) = 0; paths(m) = 1; words(m) = Array("")
+        for (a <- m - 1 to 0 by -1) {
+          val ids = outOps(d)(a); val ends = outNext(d)(a)
+          var n = 0L
+          val w = new java.util.HashSet[String]
+          // prefixing one piece is injective: past k words at a successor, past k here
+          var saturated = union == null
+          var e = 0
+          while (e < ids.length) {
+            val b = ends(e)
+            if (paths(b) > 0) {
+              leastE(a) = math.min(leastE(a), (if (opExtract(ids(e)) == null) 0 else 1) + leastE(b))
+              leastC(a) = math.min(leastC(a), opChars(ids(e)) + leastC(b))
+              n = math.min(budget.toLong, n + paths(b))
+              saturated ||= words(b) == null
+              var i = 0
+              while (!saturated && i < words(b).length) {
+                w.add(piece(ids(e)) + words(b)(i))
+                saturated = w.size > k
+                i += 1
+              }
+            }
+            e += 1
+          }
+          paths(a) = n.toInt
+          if (!saturated) words(a) = w.toArray(new Array[String](0))
         }
-        paths(a) = n.toInt
+        minE(d) = leastE; minC(d) = leastC; count(d) = paths
+        if (union != null) {
+          if (words(0) == null) union = null
+          else {
+            words(0).foreach(union.add)
+            if (union.size > k) union = null
+          }
+        }
       }
-      (leastE, leastC, paths)
-    }.unzip3
+      if (union == null) k else math.min(k, union.size)
+    }
 
     /** A path to `node` of DAG `dag` with the given keys, first completed at `first`. */
     private def path(parent: Path, op: Int, dag: Int, node: Int, first: Int,
@@ -236,10 +287,7 @@ object Mdl {
     /** `Dedup.word` of `p`'s plan. */
     private def word(p: Path): String = {
       val w = new java.lang.StringBuilder
-      opIds(p).foreach { o =>
-        if (pieces(o) == null) pieces(o) = Dedup.piece(ops(o), source)
-        w.append(pieces(o))
-      }
+      opIds(p).foreach(o => w.append(piece(o)))
       w.toString
     }
 
@@ -247,12 +295,12 @@ object Mdl {
     private def tied(p: Path, head: Path): Boolean =
       p.complete && p.key == head.key && p.size == head.size && p.penalty == head.penalty
 
-    def best(k: Int): Vector[Plan] = {
+    def best: Vector[Plan] = {
       val heap = new java.util.PriorityQueue[Path](order)
       dags.indices.foreach(d => heap.add(path(null, -1, d, 0, 0, 0, 0, 0, 0, null)))
       val seen = new java.util.HashSet[String]
       val kept = Vector.newBuilder[Plan]
-      while (!heap.isEmpty && seen.size < k) {
+      while (!heap.isEmpty && seen.size < classes) {
         val head = heap.poll()
         if (!head.complete) expand(head, heap)
         else {
@@ -262,7 +310,7 @@ object Mdl {
           val paths = group.result()
           val ranked = if (paths.size == 1) paths else paths.map(p => (render(p), p)).sortBy(_._1).map(_._2)
           val it = ranked.iterator
-          while (it.hasNext && seen.size < k) {
+          while (it.hasNext && seen.size < classes) {
             val p = it.next()
             if (seen.add(word(p))) kept += Plan(opIds(p).iterator.map(ops(_)).toVector)
           }

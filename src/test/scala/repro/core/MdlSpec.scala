@@ -160,6 +160,18 @@ class MdlSpec extends AnyFunSuite {
     }
   }
 
+  /** The number of Appendix B classes (distinct words of the paths) of each
+    * DAG and of their union, or `None` when a DAG has paths past the budget.
+    */
+  private def classCounts(dags: Seq[Alignment.Dag], source: Pattern): Option[(Seq[Int], Int)] = {
+    val plans = dags.map(_.allPlans())
+    if (plans.exists(_.size >= Alignment.PathBudget)) None
+    else {
+      val words = plans.map(_.map(Dedup.word(_, source)).toSet)
+      Some((words.map(_.size), words.foldLeft(Set.empty[String])(_ ++ _).size))
+    }
+  }
+
   /** The paths of `dags` tied with the `k`-th plan `best` keeps on every key
     * but the render: the group `best` cuts at `k`, in position order.
     */
@@ -195,7 +207,7 @@ class MdlSpec extends AnyFunSuite {
       1 -> clashing))).map(ts => Pattern(ts.toVector))
 
   test("best equals enumerate, rank and dedup over random sources and 1-3 validated targets") {
-    var clashes, unions, sharedPlans, rendersDecide = 0
+    var clashes, unions, sharedPlans, rendersDecide, fewClasses, overlapping, pastEach = 0
     val cases = (for {
       source <- PatternGen.patterns(1, 6)
       firsts <- Gen.choose(1, 3).flatMap(Gen.listOfN(_, target(source)))
@@ -214,12 +226,21 @@ class MdlSpec extends AnyFunSuite {
         if (dags.size > 1) unions += 1
         if (dags.size > 1 && dags.map(_.allPlans(7).toSet).reduce(_ intersect _).nonEmpty) sharedPlans += 1
         if (renderOverridesOps(bestReference(dags, source, 40, Alignment.PathBudget), source.size)) rendersDecide += 1
+        // calls `best` stops by the class count: fewer classes than k, and
+        // unions whose DAGs share classes or each hold fewer than the union
+        classCounts(dags, source).foreach { case (perDag, union) =>
+          if (union < 40) fewClasses += 1
+          if (union < perDag.sum) overlapping += 1
+          if (union < 40 && perDag.forall(_ < union)) pastEach += 1
+        }
         assertBestLikeReference(dags, source)
         true
       })
     assert(res.passed, res.status.toString)
-    assert(clashes > 10 && unions > 50 && sharedPlans > 10 && rendersDecide > 20,
-      s"clashes=$clashes unions=$unions shared=$sharedPlans rendersDecide=$rendersDecide")
+    assert(clashes > 10 && unions > 50 && sharedPlans > 10 && rendersDecide > 20 &&
+      fewClasses > 100 && overlapping > 10 && pastEach > 10,
+      s"clashes=$clashes unions=$unions shared=$sharedPlans rendersDecide=$rendersDecide " +
+        s"fewClasses=$fewClasses overlapping=$overlapping pastEach=$pastEach")
   }
 
   test("best: ConstStr renders that clash by prefix across two DAGs") {
@@ -254,6 +275,23 @@ class MdlSpec extends AnyFunSuite {
       val target = Tokenizer.tokenize(Seq.fill(n)("12").mkString("-"))
       assertPrefixesOfReference(Seq(Alignment.align(target, source)), source, Alignment.PathBudget, s"$n tokens")
     }
+  }
+
+  test("best stops once every class is kept: 9 `-` literals, every path one word") {
+    // 1 857 520 180 paths, all within the budget and all writing `---------`:
+    // one class, whose best plan is the single Extract
+    val source = Pattern(Vector.fill(9)(Token.lit("-")))
+    val kept = Mdl.best(Seq(Alignment.align(source, source)), source, k = 40, budget = Int.MaxValue)
+    assert(kept == Vector(Plan(Vector(Extract(1, 9)))))
+  }
+
+  test("the corpus calls of 27 classes each keep all 27 at k = 40") {
+    val counts = CorpusCalls.all.map(c => (c, classCounts(c.dags, c.source).fold(Int.MaxValue)(_._2)))
+    val of27 = counts.collect { case (c, 27) => c }
+    assert(of27.map(_.task).groupBy(identity).view.mapValues(_.size).toMap == Map(
+      "sygus-phone-10-long" -> 4, "ff-ex9-names" -> 7, "ff-ex13-conditional" -> 2, "ff-url" -> 2))
+    of27.foreach(c => assert(Mdl.best(c.dags, c.source, 40).size == 27, s"${c.task}: ${c.source}"))
+    assert(counts.count(_._2 < 40) == 213)
   }
 
   test("best keeps nothing without a feasible DAG or with k = 0") {
