@@ -44,6 +44,20 @@ object UniFi {
       }
       if (ok) Some(sb.toString) else None
     }
+
+    /** Evaluate over `s` at token bounds: token `k` spans `bounds(k - 1)` to `bounds(k)`. */
+    private[repro] def evalAt(s: String, bounds: Array[Int]): String = {
+      val out = new java.lang.StringBuilder(s.length + 16)
+      var k = 0
+      while (k < exprs.length) {
+        exprs(k) match {
+          case ConstStr(c)   => out.append(c)
+          case Extract(i, j) => out.append(s, bounds(i - 1), bounds(j))
+        }
+        k += 1
+      }
+      out.toString
+    }
   }
 
   /** One Switch branch: Match(pattern) → plan. */
@@ -60,13 +74,16 @@ object UniFi {
     @transient private[core] lazy val dispatcher = new Dispatcher(targets, branches, MemoCap)
 
     /** Transform `s`; `None` means "no branch matched — flag for review". */
-    def apply(s: String): Option[String] = Option(dispatcher(s))
+    def apply(s: String): Option[String] = Option(dispatcher.output(s))
 
     /** Transform with the flag surfaced: (output, matchedSomeBranch). */
     def applyFlagged(s: String): (String, Boolean) = {
-      val out = dispatcher(s)
+      val out = dispatcher.output(s)
       if (out == null) (s, false) else (out, true)
     }
+
+    /** Where `s` goes: the branch `apply` runs on it, with its token bounds. */
+    private[repro] def branchOf(s: String): Decision = dispatcher(s)
 
     def render: String =
       branches.map(b => s"Match(${b.pattern.render}) => ${b.plan.render}")
@@ -90,9 +107,9 @@ object UniFi {
     * skipped for the key when its `relaxed` form does not match, since then
     * it matches no string of the key; otherwise its regex runs on every
     * string of the key. Later strings cost a key scan, a hash lookup, those
-    * regexes, and one `append` per plan operation.
+    * regexes, and in `output` one `append` per plan operation (`Plan.evalAt`).
     *
-    * A branch whose plan extracts past its pattern never yields an output.
+    * A branch whose plan extracts past its pattern never matches.
     * Safe to call from several threads. The memo stops growing at `cap` keys
     * (threads that pass the check at once may each add one more).
     */
@@ -101,17 +118,16 @@ object UniFi {
     private val decided = patterns.map(_.decidedByLeafKey)
     private val relaxed = patterns.map(_.relaxed)
     private val nTargets = targets.size
-    private val plans = branches.map(_.plan.exprs.toArray).toArray
     private val usable = Array.tabulate(patterns.length) { p =>
-      p < nTargets || plans(p - nTargets).forall {
+      p < nTargets || branches(p - nTargets).plan.exprs.forall {
         case Extract(_, j) => j <= patterns(p).size
         case _             => true
       }
     }
     private val memo = new java.util.concurrent.ConcurrentHashMap[String, Route]
 
-    /** The output for `s`, or null if no pattern matches it. */
-    def apply(s: String): String = {
+    /** The decision for `s`. */
+    def apply(s: String): Decision = {
       val buf = keyBuf.get
       buf.setLength(0)
       ClusterProfile.encode(s, buf, null)
@@ -123,17 +139,19 @@ object UniFi {
       }
       var k = 0
       while (k < route.tries.length) {
-        val p = route.tries(k)
-        if (p < nTargets) { if (patterns(p).matches(s)) return s }
-        else {
-          val m = patterns(p).matcher(s)
-          if (m.matches()) return eval(p, s, bounds(m))
-        }
+        val d = decide(route.tries(k), s)
+        if (d != null) return d
         k += 1
       }
-      if (route.outcome < 0) null
-      else if (route.outcome < nTargets) s
-      else eval(route.outcome, s, route.bounds)
+      route.outcome
+    }
+
+    /** The output for `s`, or null if no pattern matches it. */
+    def output(s: String): String = {
+      val d = apply(s)
+      if (d.branch >= 0) branches(d.branch).plan.evalAt(s, d.bounds)
+      else if (d eq Target) s
+      else null
     }
 
     /** Number of keys remembered. */
@@ -146,42 +164,41 @@ object UniFi {
         if (usable(p)) {
           if (!decided(p)) { if (relaxed(p).matches(s)) tries += p }
           else {
-            val m = patterns(p).matcher(s)
-            if (m.matches()) return new Route(tries.result(), p, if (p < nTargets) null else bounds(m))
+            val d = decide(p, s)
+            if (d != null) return new Route(tries.result(), d)
           }
         }
         p += 1
       }
-      new Route(tries.result(), -1, null)
+      new Route(tries.result(), NoMatch)
     }
 
-    /** Token boundaries of a match: token `k` spans `b(k - 1)` to `b(k)`. */
-    private def bounds(m: java.util.regex.Matcher): Array[Int] = {
-      val b = new Array[Int](m.groupCount + 1)
-      var g = 1
-      while (g < b.length) { b(g) = m.end(g); g += 1 }
-      b
-    }
-
-    private def eval(p: Int, s: String, b: Array[Int]): String = {
-      val plan = plans(p - nTargets)
-      val out = new java.lang.StringBuilder(s.length + 16)
-      var k = 0
-      while (k < plan.length) {
-        plan(k) match {
-          case ConstStr(c)   => out.append(c)
-          case Extract(i, j) => out.append(s, b(i - 1), b(j))
+    /** Pattern `p`'s decision for `s`, or null if it does not match `s`. */
+    private def decide(p: Int, s: String): Decision =
+      if (p < nTargets) { if (patterns(p).matches(s)) Target else null }
+      else {
+        val m = patterns(p).matcher(s)
+        if (!m.matches()) null
+        else {
+          val b = new Array[Int](m.groupCount + 1)
+          var g = 1
+          while (g < b.length) { b(g) = m.end(g); g += 1 }
+          new Decision(p - nTargets, b)
         }
-        k += 1
       }
-      out.toString
-    }
   }
 
-  /** What a key's strings go through: the regexes of `tries` (pattern
-    * indices, targets first) in order, then `outcome` — the index of the
-    * pattern every one of them matches, with token boundaries `bounds` for a
-    * branch, or -1 for none.
+  /** Where a program sends one string: `branch` is the index of the branch
+    * whose pattern matches it first, and token `k` of that match spans
+    * `bounds(k - 1)` to `bounds(k)`. `branch` is -1 when a target matches
+    * first (`Target`) or nothing matches (`NoMatch`).
     */
-  private final class Route(val tries: Array[Int], val outcome: Int, val bounds: Array[Int])
+  private[repro] final class Decision(val branch: Int, val bounds: Array[Int])
+  private val Target = new Decision(-1, null)
+  private val NoMatch = new Decision(-1, null)
+
+  /** What a key's strings go through: the regexes of `tries` (pattern
+    * indices, targets first) in order, then the decision `outcome`.
+    */
+  private final class Route(val tries: Array[Int], val outcome: Decision)
 }

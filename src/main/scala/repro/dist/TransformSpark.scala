@@ -24,12 +24,7 @@ object TransformSpark {
   /** Apply `prog` to `df(col)`, adding `out` and `outFlag` columns. */
   def transform(df: DataFrame, col: String, prog: UniFi.Program,
                 out: String = "transformed", flag: String = "matched"): DataFrame = {
-    val f = udf { (s: String) =>
-      if (s == null) null else {
-        val (o, ok) = prog.applyFlagged(s)
-        (o, ok)
-      }
-    }
+    val f = udf((s: String) => if (s == null) null else prog.applyFlagged(s))
     df.withColumn("_clx", f(df(col)))
       .withColumn(out, column("_clx._1"))
       .withColumn(flag, column("_clx._2"))

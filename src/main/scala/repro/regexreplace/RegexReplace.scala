@@ -1,30 +1,26 @@
 package repro.regexreplace
 
-import repro.core.{Pattern, UniFi}
+import repro.core.UniFi.{Branch, Program}
 
 /** The RegexReplace substrate — the §7 baseline modeled on Trifacta
   * Wrangler's manual Replace feature: an ordered recipe of full-match
   * `Replace(regex, replacement)` operations, first match wins, unmatched
   * strings pass through.
   *
-  * Internally an op is kept as (pattern, plan) — the executable
-  * ground-truth form; its user-facing regex/replacement strings come from
-  * `repro.core.RegexExplain` when needed. The simulated user that authors
-  * recipes lives in `repro.sim.RegexReplaceSim`.
+  * An op is kept as a UniFi branch, Match(pattern) → plan over its tokens —
+  * the executable ground-truth form; its user-facing regex/replacement
+  * strings come from `repro.core.RegexExplain` when needed. The simulated
+  * user that authors recipes lives in `repro.sim.RegexReplaceSim`.
   */
 object RegexReplace {
 
-  /** One authored Replace: full-match pattern → plan over its tokens. */
-  final case class Op(pattern: Pattern, plan: UniFi.Plan) {
-    def apply(s: String): Option[String] = pattern.split(s).flatMap(plan.eval)
-  }
-
   /** An ordered recipe of Replace operations. */
-  final case class Recipe(ops: Vector[Op]) {
-    def apply(s: String): String =
-      ops.iterator.map(_.apply(s)).collectFirst { case Some(out) => out }.getOrElse(s)
-    def prepend(op: Op): Recipe = Recipe(op +: ops)
-    def append(op: Op): Recipe = Recipe(ops :+ op)
+  final case class Recipe(ops: Vector[Branch]) {
+    /** The ops as a UniFi program without targets: first match wins. */
+    val program: Program = Program(Vector.empty, ops)
+    def apply(s: String): String = program.applyFlagged(s)._1
+    def prepend(op: Branch): Recipe = Recipe(op +: ops)
+    def append(op: Branch): Recipe = Recipe(ops :+ op)
     def size: Int = ops.size
   }
 

@@ -1,7 +1,6 @@
 package repro.sim
 
 import repro.core._
-import repro.core.UniFi.Plan
 
 /** §7.4 simulated lazy CLX user.
   *
@@ -68,24 +67,15 @@ object ClxSim {
     val root = Synthesizer.hierarchyOf(data.map(_._1))
     val result = Synthesizer.synthesize(root, targets, k)
 
-    // Records not already in a target form, assigned to their branch (the
-    // first solution whose pattern matches — Program.apply order).
-    val pending = data.filterNot { case (in, _) => targets.exists(_.matches(in)) }
-    val assigned: Map[Pattern, Seq[(String, String)]] =
-      pending.groupBy { case (in, _) =>
-        result.solutions.find(_.source.matches(in)).map(_.source).getOrElse(Pattern.empty)
-      }
-
-    // Repair phase: per branch with records, walk the ranked plans.
+    // Repair phase: each record routed once by the default program; per
+    // branch with records, walk the ranked plans at the routed token bounds.
+    val default = result.program(targets)
+    val routed = data.map { case (in, out) => (default.branchOf(in), in, out) }.groupBy(_._1.branch)
     var repairs = 0
     val choices = scala.collection.mutable.Map.empty[Pattern, Int]
-    result.solutions.foreach { sol =>
-      assigned.get(sol.source).foreach { recs =>
-        // each record's token values, split once for every plan tried
-        val split = recs.map { case (in, out) => (sol.source.split(in), out) }
-        def planCorrect(p: Plan): Boolean =
-          split.forall { case (values, out) => values.flatMap(p.eval).contains(out) }
-        val idx = sol.plans.indexWhere(planCorrect)
+    result.solutions.zipWithIndex.foreach { case (sol, b) =>
+      routed.get(b).foreach { recs =>
+        val idx = sol.plans.indexWhere(p => recs.forall { case (d, in, out) => p.evalAt(in, d.bounds) == out })
         if (idx > 0) { repairs += 1; choices(sol.source) = idx }
         // idx == -1: no suggested plan fixes the branch; the user keeps
         // the default and the failing records are punished below.

@@ -1,9 +1,9 @@
 package repro.sim
 
 import repro.core._
-import repro.core.UniFi.{ConstStr, Plan}
+import repro.core.UniFi.{Branch, ConstStr, Plan}
 import repro.regexreplace.RegexReplace
-import repro.regexreplace.RegexReplace.{Op, Recipe}
+import repro.regexreplace.RegexReplace.Recipe
 
 /** §7.4 simulated RegexReplace (Trifacta) user.
   *
@@ -31,7 +31,7 @@ object RegexReplaceSim {
     * resulting op is exact on this record by construction and generalizes
     * to every record sharing the pattern with the same positional layout.
     */
-  private[sim] def authorOp(in: String, out: String): Op = {
+  private[sim] def authorOp(in: String, out: String): Branch = {
     val (src, srcVals) = Tokenizer.tokenizeWithValues(in)
     val (tgt, tgtVals) = Tokenizer.tokenizeWithValues(out)
     // Greedy longest-contiguous-run alignment: at each target position,
@@ -59,12 +59,12 @@ object RegexReplaceSim {
     // Strategy-1 generalization preserves token positions (leaf patterns
     // have no adjacent same-class runs), so the plan carries over.
     val generalized = Hierarchy.getParent(src, Hierarchy.strategy1)
-    val genOp = Op(generalized, plan)
-    if (genOp(in).contains(out)) genOp else Op(src, plan)
+    val genOp = Branch(generalized, plan)
+    if (Recipe(Vector(genOp)).program(in).contains(out)) genOp else Branch(src, plan)
   }
 
-  private def exactOp(in: String, out: String): Op =
-    Op(Pattern.of(Token.lit(in)), Plan(Vector(ConstStr(out))))
+  private def exactOp(in: String, out: String): Branch =
+    Branch(Pattern.of(Token.lit(in)), Plan(Vector(ConstStr(out))))
 
   def run(data: Seq[(String, String)], opBudget: Int = 30): Outcome = {
     var recipe = RegexReplace.empty
@@ -73,7 +73,7 @@ object RegexReplaceSim {
       data.find { case (in, out) => recipe(in) != out } match {
         case None => done = true
         case Some((in, out)) =>
-          val covered = recipe.ops.exists(_.apply(in).isDefined)
+          val covered = recipe.program(in).isDefined
           recipe =
             if (covered) recipe.prepend(exactOp(in, out))
             else recipe.append(authorOp(in, out))
