@@ -2,8 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthData}
-import repro.core.Synthesizer
-import repro.dist.{PatternClusteringSpark, TransformSpark}
+import repro.dist.Clx
 
 /** Machine-side analog of the §7.2 verification-effort study (Fig. 11/12).
   *
@@ -21,38 +20,27 @@ import repro.dist.{PatternClusteringSpark, TransformSpark}
 class ScalingBench extends SparkSpec {
   import ScalingBench.Run
 
-  private def timed[A](f: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a = f
-    (a, (System.nanoTime() - t0) / 1e9)
-  }
-
+  /** One `Clx.run` session, then the ground-truth count of its output, timed
+    * as "apply": a scan that applies the program to every record.
+    */
   private def pipeline(rows: Long, nFormats: Int): Run = {
     val data = SynthData.messyPhones(spark, rows, nFormats).cache()
     data.count()
-
-    val (hier, tCluster) = timed(PatternClusteringSpark.hierarchy(data, "raw"))
-    val patterns = hier.leaves.size.toLong
-
-    val sampleCorrect = data.filter(col("raw") === col("expected"))
-      .select("raw").limit(100).collect().map(_.getString(0)).toSeq
-    val targets = Synthesizer.leafClusters(sampleCorrect).keys.toVector
-    val (result, tSynth) = timed(Synthesizer.synthesize(hier, targets))
-    val prog = result.program(targets)
-
-    val out = TransformSpark.transform(data, "raw", prog)
-    val (nCorrect, tTransform) = timed(out.filter(col("transformed") === col("expected")).count())
-    val ((verified, listed), tVerify) = timed {
-      (TransformSpark.allVerified(out, "transformed", "matched", targets),
-       TransformSpark.verifyPatterns(out, "transformed", targets).collect().length)
-    }
+    val s = Clx.run(data, "raw", SynthData.isTargetPhone)
+    val t0 = System.nanoTime()
+    val nCorrect = s.output.filter(col("transformed") === col("expected")).count()
+    val tApply = (System.nanoTime() - t0) / 1e9
     data.unpersist()
-    Run(patterns, nCorrect, verified, listed, tCluster, tSynth, tTransform, tVerify)
+    Run(s.hierarchy.leaves.size.toLong, nCorrect, s.verified, s.outputListing.size,
+      s.times.cluster, s.times.synth, tApply, s.times.verify)
   }
 
   test("Fig. 11/12 analog: pattern-level verification cost is row-count invariant") {
     println("\n== Scaling (Fig. 11/12 analog): messy phones, 6 formats ==")
     println(f"${"rows"}%10s ${"patterns"}%9s ${"correct"}%10s ${"listed"}%7s ${"cluster(s)"}%11s ${"synth(s)"}%9s ${"apply(s)"}%9s ${"verify(s)"}%10s")
+    // Untimed warm-up: JVM and Spark start-up would otherwise land in the
+    // first size's times.
+    pipeline(10000L, 6)
     val sizes = Seq(10000L, 100000L, 1000000L)
     val out = sizes.map { n =>
       val r = pipeline(n, 6)

@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.SynthData
-import repro.dist.PatternClusteringSpark
+import repro.dist.Clx
 
 /** spark-submit entrypoint for the clustering phase (§4): generates (or
   * reads) a messy string column and prints the pattern cluster listing the
@@ -25,11 +25,9 @@ object ClusterJob {
           csv.select(csv(csv.columns.head) as "raw")
         case None => SynthData.messyPhones(spark, rows, formats).select("raw")
       }
+      val Clx.Clustering(listing, hier) = Clx.cluster(df, "raw")
       println("== Pattern clusters (Fig. 3) ==")
-      PatternClusteringSpark.clusterCounts(df, "raw").collect().foreach { r =>
-        println(f"${r.getString(0)}%-40s ${r.getLong(1)}%10d   e.g. ${r.getString(2)}")
-      }
-      val hier = PatternClusteringSpark.hierarchy(df, "raw")
+      listing.foreach(r => println(f"${r.pattern}%-40s ${r.count}%10d   e.g. ${r.sample}"))
       println(s"\nhierarchy: ${hier.leaves.size} leaf patterns, ${hier.preOrder.size} nodes total")
     } finally spark.stop()
   }

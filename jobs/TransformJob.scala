@@ -3,13 +3,13 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.SynthData
-import repro.core.{RegexExplain, Synthesizer}
-import repro.dist.{PatternClusteringSpark, TransformSpark}
+import repro.core.RegexExplain
+import repro.dist.Clx
 
-/** spark-submit entrypoint for the full CLX pipeline (§3.2): cluster →
-  * label (dominant already-normalized pattern) → synthesize → transform →
-  * pattern-level verify, printing the explanation (Fig. 4) and the output
-  * pattern listing (Fig. 2).
+/** spark-submit entrypoint for the full CLX pipeline (§3.2): one `Clx.run`
+  * session that labels the listed format-0 sample as the target, printing
+  * the explanation (Fig. 4), the output pattern listing (Fig. 2) and the
+  * ground-truth check.
   *
   * Usage: spark-submit --class repro.jobs.TransformJob repro.jar [rows] [formats]
   */
@@ -21,23 +21,18 @@ object TransformJob {
       .config("spark.sql.shuffle.partitions", 64).getOrCreate()
     try {
       val data = SynthData.messyPhones(spark, rows, formats).cache()
-      val hier = PatternClusteringSpark.hierarchy(data, "raw")
-      val sample = data.filter(col("raw") === col("expected"))
-        .select("raw").limit(100).collect().map(_.getString(0)).toSeq
-      val targets = Synthesizer.leafClusters(sample).keys.toVector
-      println(s"label: target pattern(s) = ${targets.map(_.renderNatural).mkString(" | ")}")
+      val session = Clx.run(data, "raw", SynthData.isTargetPhone)
+      println(s"label: target pattern(s) = ${session.targets.map(_.renderNatural).mkString(" | ")}")
 
-      val result = Synthesizer.synthesize(hier, targets)
-      val prog = result.program(targets)
       println("\n== Inferred transformation (Fig. 4) ==")
-      RegexExplain.explainProgram(prog).foreach(r => println("  " + r.natural))
+      RegexExplain.explainProgram(session.program).foreach(r => println("  " + r.natural))
 
-      val out = TransformSpark.transform(data, "raw", prog).cache()
       println("\n== Output pattern clusters (Fig. 2) ==")
-      TransformSpark.verifyPatterns(out, "transformed", targets).collect().foreach { r =>
+      session.outputListing.foreach { r =>
         println(f"${r.getString(0)}%-40s ${r.getLong(1)}%10d   target=${r.getBoolean(2)}")
       }
-      val nCorrect = out.filter(col("transformed") === col("expected")).count()
+      println(s"verified: ${session.verified}")
+      val nCorrect = session.output.filter(col("transformed") === col("expected")).count()
       println(s"\nground truth: $nCorrect/$rows records exactly correct")
     } finally spark.stop()
   }

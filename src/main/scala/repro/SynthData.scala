@@ -55,4 +55,11 @@ object SynthData {
       format_string("(%03d) %03d-%04d", a, b, c) as "expected",
     )
   }
+
+  /** Whether `s` is in `messyPhones`' target form `(ddd) ddd-dddd`: the
+    * label a user gives the listed sample of format 0.
+    */
+  def isTargetPhone(s: String): Boolean = TargetPhone.matches(s)
+
+  private val TargetPhone = """\(\d{3}\) \d{3}-\d{4}""".r
 }

@@ -81,6 +81,11 @@ final class ClusterProfile private (private val targets: Seq[Pattern],
   def clusters(): Map[Pattern, Long] =
     tally((key, e) => if (e.count >= MinSupport) e.refined(key) else leafPattern(key))
 
+  /** The pattern cluster hierarchy (Algorithm 1) over `clusters()`, under
+    * one root.
+    */
+  def hierarchy(): Hierarchy.PNode = Hierarchy.root(Hierarchy.build(clusters().toSeq))
+
   private def tally(pattern: (String, Entry) => Pattern): Map[Pattern, Long] = {
     val sums = scala.collection.mutable.HashMap.empty[Pattern, Long]
     entries.forEach((key, e) => sums.updateWith(pattern(key, e))(n => Some(n.getOrElse(0L) + e.count)))

@@ -114,8 +114,7 @@ object Synthesizer {
   }
 
   /** Cluster + constant-discover + build hierarchy for a string column. */
-  def hierarchyOf(strings: Seq[String]): PNode =
-    Hierarchy.root(Hierarchy.build(leafClusters(strings).toSeq))
+  def hierarchyOf(strings: Seq[String]): PNode = ClusterProfile.of(strings).hierarchy()
 
   /** Leaf pattern of each distinct string form, with constant discovery
     * and counts — the cluster listing shown to the user for labeling (Fig. 3).

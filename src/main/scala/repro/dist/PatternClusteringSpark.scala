@@ -54,6 +54,5 @@ object PatternClusteringSpark {
     profile(df, col).clusters()
 
   /** Full clustering phase: leaf clusters → pattern cluster hierarchy. */
-  def hierarchy(df: DataFrame, col: String): Hierarchy.PNode =
-    Hierarchy.root(Hierarchy.build(leafClusters(df, col).toSeq))
+  def hierarchy(df: DataFrame, col: String): Hierarchy.PNode = profile(df, col).hierarchy()
 }

@@ -1,6 +1,6 @@
 package repro.flashfill
 
-import repro.core.{Pattern, Quant, Token, Tokenizer}
+import repro.core.{Hierarchy, Pattern, Tokenizer}
 
 /** A loop-free FlashFill-class string program (Gulwani 2011 / BlinkFill
   * 2016 family), used as the paper's PBE baseline (§7).
@@ -69,13 +69,6 @@ object FlashFill {
     }.sum
   }
 
-  /** Generalized input pattern: quantifiers widened to `+`. */
-  def generalize(p: Pattern): Pattern =
-    Pattern(p.tokens.map {
-      case t if t.isLiteral => t
-      case Token(tpe, _)    => Token(tpe, Quant.Plus)
-    }).mergeAdjacent
-
   final case class FBranch(
       general: Pattern,
       exact: Option[Set[Pattern]],   // refinement: exact leaf patterns
@@ -86,7 +79,7 @@ object FlashFill {
   ) {
     def specificity: Int = (if (exact.isDefined) 2 else 0) + (if (keyword.isDefined) 1 else 0)
     def accepts(s: String, leaf: Pattern): Boolean =
-      generalize(leaf) == general &&
+      Hierarchy.getParent(leaf, Hierarchy.strategy1) == general &&
         exact.forall(_.contains(leaf)) &&
         keyword.forall(s.contains) &&
         antiKeywords.forall(k => !s.contains(k))

@@ -1,6 +1,6 @@
 package repro.flashfill
 
-import repro.core.{Pattern, Tokenizer}
+import repro.core.{Hierarchy, Pattern, Tokenizer}
 import FlashFill._
 
 /** Synthesis for the FlashFill baseline.
@@ -111,7 +111,7 @@ object FlashFillSynth {
   /** Learn a full program from examples. Deterministic in example order. */
   def learn(examples: Vector[(String, String)]): FFProgram = {
     val byGeneral: Vector[(Pattern, Vector[(String, String)])] =
-      examples.groupBy(e => generalize(Tokenizer.tokenize(e._1))).toVector
+      examples.groupBy(e => Hierarchy.getParent(Tokenizer.tokenize(e._1), Hierarchy.strategy1)).toVector
         .sortBy(_._1.render)
 
     val branches = Vector.newBuilder[FBranch]

@@ -3,6 +3,7 @@ package repro.core
 import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Ascii
 import TokType._
 import UniFi._
 
@@ -15,7 +16,7 @@ class DispatcherSpec extends AnyFunSuite {
 
   private def check(prop: Prop, tests: Int = 500): Unit = {
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(tests), prop)
-    assert(res.passed, res.status.toString)
+    assert(res.passed, Ascii.escape(res.status.toString))
   }
 
   /** Program application without the dispatcher: targets first, then each
@@ -55,7 +56,7 @@ class DispatcherSpec extends AnyFunSuite {
   private def agrees(prog: Program, column: Seq[String])(apply: String => Option[String]): Prop =
     column.find(s => apply(s) != reference(prog, s)) match {
       case None    => Prop.passed
-      case Some(s) => Prop.falsified :| s"'$s': ${apply(s)} != ${reference(prog, s)} under ${prog.targets} / ${prog.render}"
+      case Some(s) => Prop.falsified :| Ascii.escape(s"'$s': ${apply(s)} != ${reference(prog, s)} under ${prog.targets} / ${prog.render}")
     }
 
   test("dispatched application equals regex application") {
@@ -89,7 +90,7 @@ class DispatcherSpec extends AnyFunSuite {
         }
       } match {
         case None    => Prop.passed
-        case Some(s) => Prop.falsified :| s"'$s': branch ${prog.branchOf(s).branch} under ${prog.targets} / ${prog.render}"
+        case Some(s) => Prop.falsified :| Ascii.escape(s"'$s': branch ${prog.branchOf(s).branch} under ${prog.targets} / ${prog.render}")
       }
     }, tests = 2000)
   }

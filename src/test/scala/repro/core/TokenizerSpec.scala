@@ -3,6 +3,7 @@ package repro.core
 import java.nio.charset.StandardCharsets.UTF_8
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Ascii
 import TokType._
 
 /** §4.1 tokenization rules. */
@@ -76,7 +77,7 @@ class TokenizerSpec extends AnyFunSuite {
     (1 to 300).foreach { _ =>
       val s = (1 to (1 + r.nextInt(25))).map(_ => r.nextPrintableChar()).mkString
       val p = Tokenizer.tokenize(s)
-      assert(p.matches(s), s"'$s' should match its own pattern ${p.render}")
+      assert(p.matches(s), Ascii.escape(s"'$s' should match its own pattern ${p.render}"))
     }
   }
 
@@ -112,7 +113,7 @@ class TokenizerSpec extends AnyFunSuite {
     (1 to 500).foreach { _ =>
       val s = Seq.fill(r.nextInt(8))(alphabet(r.nextInt(alphabet.size))).mkString
       val p = Tokenizer.tokenize(s)
-      assert(p.matches(s), s"'$s' should match its own pattern ${p.render}")
+      assert(p.matches(s), Ascii.escape(s"'$s' should match its own pattern ${p.render}"))
       assert(Tokenizer.tokenizeWithValues(s)._2.mkString == s)
       // UTF-8 round-trips a string iff it holds no lone surrogate
       def wellFormed(t: String) = new String(t.getBytes(UTF_8), UTF_8) == t

@@ -5,29 +5,20 @@ import repro.{SparkSpec, SynthData}
 import repro.core._
 import repro.sim.ClxSim
 
-/** Full CLX pipeline over Spark: cluster → label → synthesize → transform →
-  * pattern-level verify, on the messy phone column (the §7.2 workload).
+/** Full CLX pipeline over Spark (`Clx.run`): cluster → label → synthesize →
+  * transform → pattern-level verify, on the messy phone column (the §7.2
+  * workload).
   */
 class EndToEndSpec extends SparkSpec {
 
+  /** One `Clx.run` session labeling the listed format-0 sample; the output
+    * must verify. Returns the rows exactly correct and the rows matched.
+    */
   private def runPipeline(rows: Long, nFormats: Int): (Long, Long) = {
     val data = SynthData.messyPhones(spark, rows, nFormats).cache()
-
-    // Cluster (distributed) and label: the target pattern is the cluster
-    // whose records already look normalized — here derived from a sample
-    // of the dominant format, as the simulated user would select it.
-    val hierarchy = PatternClusteringSpark.hierarchy(data, "raw")
-    val sampleCorrect = data.filter(col("raw") === col("expected"))
-      .select("raw").limit(200).collect().map(_.getString(0)).toSeq
-    val targets = Synthesizer.leafClusters(sampleCorrect).keys.toVector
-
-    // Synthesize and transform (per-partition UDF via withColumn).
-    val result = Synthesizer.synthesize(hierarchy, targets)
-    val prog = result.program(targets)
-    val out = TransformSpark.transform(data, "raw", prog).cache()
-
-    // Pattern-level verification plus exact ground-truth check.
-    assert(TransformSpark.allVerified(out, "transformed", "matched", targets))
+    val session = Clx.run(data, "raw", SynthData.isTargetPhone)
+    assert(session.verified)
+    val out = session.output.cache()
     val correct = out.filter(col("transformed") === col("expected")).count()
     val matched = out.filter(col("matched")).count()
     data.unpersist(); out.unpersist()
@@ -59,14 +50,17 @@ class EndToEndSpec extends SparkSpec {
 
   test("Catalyst-native regexp_replace pipeline matches ground truth at scale") {
     val data = SynthData.messyPhones(spark, 2000, 6).cache()
-    val hierarchy = PatternClusteringSpark.hierarchy(data, "raw")
-    val sample = data.filter(col("raw") === col("expected"))
-      .select("raw").limit(100).collect().map(_.getString(0)).toSeq
-    val targets = Synthesizer.leafClusters(sample).keys.toVector
-    val prog = Synthesizer.synthesize(hierarchy, targets).program(targets)
+    val prog = Clx.run(data, "raw", SynthData.isTargetPhone).program
     val out = TransformSpark.transformViaRegex(data, "raw", prog)
     assert(out.filter(col("transformed") === col("expected")).count() == 2000)
     data.unpersist()
+  }
+
+  test("Clx.run labels exactly the format-0 leaf as its target") {
+    val session = Clx.run(SynthData.messyPhones(spark, 3000, 6), "raw", SynthData.isTargetPhone)
+    val format0 = Tokenizer.tokenize("(734) 645-8397")
+    assert(session.hierarchy.leaves.map(_.pattern).contains(format0))
+    assert(session.targets == Vector(format0))
   }
 
   test("driver-side sim agrees with the Spark pipeline on correctness") {

@@ -1,6 +1,8 @@
 package repro.dist
 
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core._
 
@@ -100,6 +102,32 @@ class PatternClusteringSparkSpec extends SparkSpec {
           assert(got.collect().toSeq == expected.collect().toSeq, s"seed $seed, $n partitions")
         }
       }
+    }
+  }
+
+  test("Clx.cluster gives clusterCounts' rows and hierarchy's tree in one Spark job") {
+    import spark.implicits._
+    val sc = spark.sparkContext
+    // The ids of the jobs run in `group`, once the status store has seen
+    // every job started before: events reach it in order, so a marker job
+    // run afterwards shows up only after them.
+    def jobsOf(group: String): Seq[Int] = {
+      sc.setJobGroup(s"$group-marker", "marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      eventually(timeout(10.seconds))(assert(sc.statusTracker.getJobIdsForGroup(s"$group-marker").nonEmpty))
+      sc.statusTracker.getJobIdsForGroup(group).toSeq
+    }
+    (1 to 5).foreach { seed =>
+      // A local relation: a shuffle (`repartition`) would add a job of its own.
+      val data = tiedCells(seed).toDF("s")
+      val group = s"clx-cluster-$seed"
+      sc.setJobGroup(group, "Clx.cluster")
+      val clustering = try Clx.cluster(data, "s") finally sc.clearJobGroup()
+      assert(jobsOf(group).size == 1, s"seed $seed")
+      assert(clustering.listing.map(r => (r.pattern, r.count, r.sample)) ==
+        PatternClusteringSpark.clusterCounts(data, "s").collect().toSeq
+          .map(r => (r.getString(0), r.getLong(1), r.getString(2))), s"seed $seed")
+      assert(clustering.hierarchy == PatternClusteringSpark.hierarchy(data, "s"), s"seed $seed")
     }
   }
 

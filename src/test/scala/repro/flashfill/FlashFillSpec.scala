@@ -1,6 +1,7 @@
 package repro.flashfill
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Hierarchy, Tokenizer}
 import FlashFill._
 
 /** The FlashFill-class baseline synthesizer (substrate for §7). */
@@ -73,7 +74,7 @@ class FlashFillSpec extends AnyFunSuite {
   }
 
   test("generalize widens quantifiers and merges") {
-    val g = generalize(repro.core.Tokenizer.tokenize("John Smith"))
+    val g = Hierarchy.getParent(Tokenizer.tokenize("John Smith"), Hierarchy.strategy1)
     assert(g.render == "<U>+<L>+' '<U>+<L>+")
   }
 

@@ -2,6 +2,7 @@ package repro.regexreplace
 
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Ascii
 import repro.core.{DispatcherSpec, Pattern, Token, Tokenizer}
 import repro.core.UniFi.{Branch, ConstStr, Extract, Plan}
 import RegexReplace._
@@ -83,10 +84,10 @@ class RegexReplaceSpec extends AnyFunSuite {
       val column = ops.flatMap(_.pattern.tokens.flatMap(_.literalValue)) ++ random
       column.find(s => recipe(s) != reference(ops, s).getOrElse(s) || recipe.program(s) != reference(ops, s)) match {
         case None    => Prop.passed
-        case Some(s) => Prop.falsified :| s"'$s': ${recipe(s)} != ${reference(ops, s)} under ${recipe.program.render}"
+        case Some(s) => Prop.falsified :| Ascii.escape(s"'$s': ${recipe(s)} != ${reference(ops, s)} under ${recipe.program.render}")
       }
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(1000), prop)
-    assert(res.passed, res.status.toString)
+    assert(res.passed, Ascii.escape(res.status.toString))
   }
 }
