@@ -18,7 +18,7 @@ import repro.sim.{ClxSim, FlashFillSim, RegexReplaceSim}
   */
 class CorpusPlansDump extends AnyFunSuite {
 
-  private val K = 40
+  private val K = ClxSim.Suggestions
 
   test("dump the corpus calls' top-40 plans and each task's program, recipe and Steps") {
     val lines = Vector.newBuilder[String]
@@ -28,15 +28,15 @@ class CorpusPlansDump extends AnyFunSuite {
       }
     }
     Benchmarks.all.foreach { task =>
-      val o = ClxSim.run(task.data, K)
+      val o = ClxSim.run(task.data)
       lines += s"steps\t${task.id}\t${o.selections}\t${o.repairs}\t${o.failures}\t${o.steps}"
       lines += s"targets\t${task.id}\t${o.targets.map(_.render).mkString("\t")}"
       o.program.branches.foreach(b => lines += s"branch\t${task.id}\t${b.pattern.render}\t${b.plan.render}")
       val ff = FlashFillSim.run(task.data)
       lines += s"ff-steps\t${task.id}\t${ff.examples}\t${ff.failures}\t${ff.steps}"
       val rr = RegexReplaceSim.run(task.data)
-      lines += s"rr-steps\t${task.id}\t${rr.ops}\t${rr.failures}\t${rr.steps}"
-      rr.recipe.ops.foreach(op => lines += s"rr-op\t${task.id}\t${op.pattern.render}\t${op.plan.render}")
+      lines += s"rr-steps\t${task.id}\t${rr.ops.size}\t${rr.failures}\t${rr.steps}"
+      rr.ops.foreach(op => lines += s"rr-op\t${task.id}\t${op.pattern.render}\t${op.plan.render}")
     }
     val out = Paths.get("target", "corpus-plans.tsv").toAbsolutePath
     Files.createDirectories(out.getParent)

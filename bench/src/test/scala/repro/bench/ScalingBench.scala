@@ -2,7 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthData}
-import repro.dist.Clx
+import repro.dist.{Clx, TransformSpark}
 
 /** Machine-side analog of the §7.2 verification-effort study (Fig. 11/12).
   *
@@ -28,7 +28,7 @@ class ScalingBench extends SparkSpec {
     data.count()
     val s = Clx.run(data, "raw", SynthData.isTargetPhone)
     val t0 = System.nanoTime()
-    val nCorrect = s.output.filter(col("transformed") === col("expected")).count()
+    val nCorrect = s.output.filter(col(TransformSpark.OutCol) === col("expected")).count()
     val tApply = (System.nanoTime() - t0) / 1e9
     data.unpersist()
     Run(s.hierarchy.leaves.size.toLong, nCorrect, s.verified, s.outputListing.size,

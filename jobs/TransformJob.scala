@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.SynthData
 import repro.core.RegexExplain
-import repro.dist.Clx
+import repro.dist.{Clx, TransformSpark}
 
 /** spark-submit entrypoint for the full CLX pipeline (§3.2): one `Clx.run`
   * session that labels the listed format-0 sample as the target, printing
@@ -32,7 +32,7 @@ object TransformJob {
         println(f"${r.getString(0)}%-40s ${r.getLong(1)}%10d   target=${r.getBoolean(2)}")
       }
       println(s"verified: ${session.verified}")
-      val nCorrect = session.output.filter(col("transformed") === col("expected")).count()
+      val nCorrect = session.output.filter(col(TransformSpark.OutCol) === col("expected")).count()
       println(s"\nground truth: $nCorrect/$rows records exactly correct")
     } finally spark.stop()
   }

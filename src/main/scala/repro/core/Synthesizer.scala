@@ -25,20 +25,14 @@ object Synthesizer {
 
   final case class Result(solutions: Vector[SourceSolution], noise: Vector[Pattern]) {
     /** Program using every solution's default plan. */
-    def program(targets: Seq[Pattern]): Program =
-      Program(targets.toVector, solutions.map(s => Branch(s.source, s.default)))
+    def program(targets: Seq[Pattern]): Program = programWith(targets, Map.empty)
 
     /** Program with per-source plan choices (after repair). `choices` maps
-      * source pattern → index into the ranked plan list.
+      * source pattern → index into the ranked plan list; an index past the
+      * list is an error.
       */
     def programWith(targets: Seq[Pattern], choices: Map[Pattern, Int]): Program =
-      Program(
-        targets.toVector,
-        solutions.map { s =>
-          val i = choices.getOrElse(s.source, 0)
-          Branch(s.source, s.plans(math.min(i, s.plans.size - 1)))
-        },
-      )
+      Program(targets.toVector, solutions.map(s => Branch(s.source, s.plans(choices.getOrElse(s.source, 0)))))
   }
 
   /** Algorithm 2 over a hierarchy root and the selected target patterns.

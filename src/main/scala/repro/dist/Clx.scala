@@ -23,8 +23,8 @@ object Clx {
     */
   final case class Times(cluster: Double, synth: Double, verify: Double)
 
-  /** What a session shows the user. `output` adds the `transformed` and
-    * `matched` columns to the input (lazily, uncached); `verified` is
+  /** What a session shows the user. `output` adds the `TransformSpark.OutCol`
+    * and `FlagCol` columns to the input (lazily, uncached); `verified` is
     * `TransformSpark.allVerified` and `outputListing` the rows of
     * `TransformSpark.verifyPatterns`.
     */
@@ -51,8 +51,8 @@ object Clx {
     val program = Synthesizer.synthesize(hierarchy, targets).program(targets)
     val t2 = System.nanoTime()
     val output = TransformSpark.transform(df, col, program)
-    val verified = TransformSpark.allVerified(output, "transformed", "matched", targets)
-    val outputListing = TransformSpark.verifyPatterns(output, "transformed", targets).collect().toSeq
+    val verified = TransformSpark.allVerified(output, TransformSpark.OutCol, TransformSpark.FlagCol, targets)
+    val outputListing = TransformSpark.verifyPatterns(output, TransformSpark.OutCol, targets).collect().toSeq
     val t3 = System.nanoTime()
     Session(listing, hierarchy, targets, program, output, verified, outputListing,
       Times((t1 - t0) / 1e9, (t2 - t1) / 1e9, (t3 - t2) / 1e9))

@@ -18,18 +18,14 @@ import scala.jdk.CollectionConverters._
 object PatternClusteringSpark {
 
   /** Profile of `df(col)`, recording per cluster whether every string
-    * matches one of `targets`; given a boolean column `where`, only of the
-    * rows where it is true. One scan, folded per partition and merged on the
-    * driver; the rows are read as Spark's internal rows, which plans no
+    * matches one of `targets`. One scan, folded per partition and merged on
+    * the driver; the rows are read as Spark's internal rows, which plans no
     * second query.
     */
-  private[dist] def profile(df: DataFrame, col: String, targets: Seq[Pattern] = Nil,
-                            where: Option[String] = None): ClusterProfile =
-    df.select(df(col) +: where.map(df(_)).toSeq: _*).queryExecution.toRdd
+  private[dist] def profile(df: DataFrame, col: String, targets: Seq[Pattern] = Nil): ClusterProfile =
+    df.select(df(col)).queryExecution.toRdd
       .aggregate(ClusterProfile.against(targets))(
-        (profile, row) =>
-          if (where.nonEmpty && (row.isNullAt(1) || !row.getBoolean(1))) profile
-          else profile.add(if (row.isNullAt(0)) null else row.getUTF8String(0).toString),
+        (profile, row) => profile.add(if (row.isNullAt(0)) null else row.getUTF8String(0).toString),
         _ merge _)
 
   private val countsSchema = StructType(Seq(

@@ -21,13 +21,18 @@ import scala.jdk.CollectionConverters._
   */
 object TransformSpark {
 
-  /** Apply `prog` to `df(col)`, adding `out` and `outFlag` columns. */
-  def transform(df: DataFrame, col: String, prog: UniFi.Program,
-                out: String = "transformed", flag: String = "matched"): DataFrame = {
+  /** The output column that `transform` and `transformViaRegex` add. */
+  val OutCol = "transformed"
+
+  /** The column in which `transform` flags the records a branch matched. */
+  val FlagCol = "matched"
+
+  /** Apply `prog` to `df(col)`, adding the `OutCol` and `FlagCol` columns. */
+  def transform(df: DataFrame, col: String, prog: UniFi.Program): DataFrame = {
     val f = udf((s: String) => if (s == null) null else prog.applyFlagged(s))
     df.withColumn("_clx", f(df(col)))
-      .withColumn(out, column("_clx._1"))
-      .withColumn(flag, column("_clx._2"))
+      .withColumn(OutCol, column("_clx._1"))
+      .withColumn(FlagCol, column("_clx._2"))
       .drop("_clx")
   }
 
@@ -41,15 +46,14 @@ object TransformSpark {
     * source pattern and branch outputs are target-formed, the sequential
     * chain coincides with first-match-wins on CLX-synthesized programs.
     */
-  def transformViaRegex(df: DataFrame, col: String, prog: UniFi.Program,
-                        out: String = "transformed"): DataFrame = {
+  def transformViaRegex(df: DataFrame, col: String, prog: UniFi.Program): DataFrame = {
     val replaces = RegexExplain.explainProgram(prog)
     val chained = replaces.foldLeft(df(col)) { (expr, r) =>
       regexp_replace(expr, r.regex, r.javaReplacement)
     }
     val isTarget = prog.targets.map(t => df(col).rlike(t.groupedRegex))
       .reduceOption(_ || _).getOrElse(lit(false))
-    df.withColumn(out, when(isTarget, df(col)).otherwise(chained))
+    df.withColumn(OutCol, when(isTarget, df(col)).otherwise(chained))
   }
 
   private val verifySchema = StructType(Seq(
@@ -70,11 +74,14 @@ object TransformSpark {
 
   /** True iff every non-null output of a record that matched a branch
     * matches a target pattern — the success criterion of a pattern-level
-    * verification pass. The output and flag columns are read in one scan
-    * (a filter on the flag would be pushed below the program's UDF and run
-    * the program twice per row).
+    * verification pass. It profiles `when(flag, out)`: the output of a
+    * flagged-off row becomes null, which the profile only counts. Output and
+    * flag are read in one projection (a filter on the flag would be pushed
+    * below the program's UDF and run the program twice per row).
     */
   def allVerified(transformed: DataFrame, outCol: String, flagCol: String,
-                  targets: Seq[Pattern]): Boolean =
-    PatternClusteringSpark.profile(transformed, outCol, targets, where = Some(flagCol)).allOnTarget
+                  targets: Seq[Pattern]): Boolean = {
+    val flagged = transformed.select(when(transformed(flagCol), transformed(outCol)) as outCol)
+    PatternClusteringSpark.profile(flagged, outCol, targets).allOnTarget
+  }
 }

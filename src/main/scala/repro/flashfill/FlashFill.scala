@@ -7,7 +7,7 @@ import repro.core.{Hierarchy, Pattern, Tokenizer}
   *
   * A program is a switch over *branches*; each branch is keyed by the
   * generalized token pattern of its training inputs (BlinkFill-style input
-  * graph), optionally refined by an exact pattern set and/or a
+  * graph), optionally refined by an exact leaf pattern and/or a
   * distinguishing keyword (FlashFill's learned conditionals). A branch
   * body is a concatenation of atoms over the input's tokenization:
   * constants, token-range extractions, and sub-token prefix/suffix
@@ -69,28 +69,31 @@ object FlashFill {
     }.sum
   }
 
-  final case class FBranch(
-      general: Pattern,
-      exact: Option[Set[Pattern]],   // refinement: exact leaf patterns
-      keyword: Option[String],       // refinement: input must contain this
-      antiKeywords: Set[String],     // ...and none of these
-      plan: FPlan,
-      examples: Vector[(String, String)],
-  ) {
+  /** A branch: inputs whose strategy-1 generalization is `general`,
+    * optionally refined to one exact leaf pattern and/or to inputs that
+    * contain `keyword`, are rewritten by `plan`.
+    */
+  final case class FBranch(general: Pattern, exact: Option[Pattern], keyword: Option[String], plan: FPlan) {
     def specificity: Int = (if (exact.isDefined) 2 else 0) + (if (keyword.isDefined) 1 else 0)
-    def accepts(s: String, leaf: Pattern): Boolean =
-      Hierarchy.getParent(leaf, Hierarchy.strategy1) == general &&
-        exact.forall(_.contains(leaf)) &&
-        keyword.forall(s.contains) &&
-        antiKeywords.forall(k => !s.contains(k))
+    /** Whether the branch takes `s`, whose leaf pattern is `leaf` and whose
+      * strategy-1 generalization is `gen`.
+      */
+    def accepts(s: String, leaf: Pattern, gen: Pattern): Boolean =
+      gen == general && exact.forall(_ == leaf) && keyword.forall(s.contains)
   }
 
+  /** A switch over `branches`, the most specific first (a stable sort, so
+    * branches of equal specificity keep their order).
+    */
   final case class FFProgram(branches: Vector[FBranch]) {
+    private[this] val bySpecificity = branches.sortBy(-_.specificity)
+
     /** Transform `s`; identity when no branch accepts it. */
     def apply(s: String): String = {
       val (leaf, tv) = Tokenizer.tokenizeWithValues(s)
-      branches.sortBy(-_.specificity).iterator
-        .filter(_.accepts(s, leaf))
+      val gen = Hierarchy.getParent(leaf, Hierarchy.strategy1)
+      bySpecificity.iterator
+        .filter(_.accepts(s, leaf, gen))
         .map(_.plan.eval(tv))
         .collectFirst { case Some(out) => out }
         .getOrElse(s)

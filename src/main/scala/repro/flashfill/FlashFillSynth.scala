@@ -16,16 +16,17 @@ import FlashFill._
   */
 object FlashFillSynth {
 
+  /** The most candidate plans kept per output position. */
   private val PlanCap = 400
 
   /** Enumerate candidate plans for one example, best-score-first.
     *
-    * Beam DP over output positions: `memo(a)` holds the `cap` best-scoring
-    * (suffix plans from position a), so the cap prunes by quality rather
-    * than discovery order — a DFS-order cap would truncate the space
-    * before good plans are ever seen.
+    * Beam DP over output positions: `memo(a)` holds the `PlanCap`
+    * best-scoring (suffix plans from position a), so the cap prunes by
+    * quality rather than discovery order — a DFS-order cap would truncate
+    * the space before good plans are ever seen.
     */
-  def enumeratePlans(input: String, output: String, cap: Int = PlanCap): Vector[FPlan] = {
+  def enumeratePlans(input: String, output: String): Vector[FPlan] = {
     val (_, tv) = Tokenizer.tokenizeWithValues(input)
     val n = output.length
     val memo = new java.util.HashMap[Integer, Vector[(Double, List[Atom])]]()
@@ -71,7 +72,7 @@ object FlashFillSynth {
             s = atomScore(atom)
             (restScore, rest) <- go(b)
           } yield (s + restScore, atom :: rest)
-          val v = cands.sortBy { case (s, atoms) => (s, atoms.size) }.take(cap)
+          val v = cands.sortBy { case (s, atoms) => (s, atoms.size) }.take(PlanCap)
           memo.put(a, v)
           v
         }
@@ -88,9 +89,9 @@ object FlashFillSynth {
   /** Best plan consistent with all `exs`, if any. Candidates come from the
     * first example (and, when that fails, from each subsequent one).
     */
-  def commonPlan(exs: Vector[(String, String)], cap: Int = PlanCap): Option[FPlan] = {
+  def commonPlan(exs: Vector[(String, String)]): Option[FPlan] = {
     def search(seedIdx: Int): Option[FPlan] =
-      enumeratePlans(exs(seedIdx)._1, exs(seedIdx)._2, cap)
+      enumeratePlans(exs(seedIdx)._1, exs(seedIdx)._2)
         .find(p => exs.forall(consistent(p, _)))
     (0 until math.min(exs.size, 3)).iterator.flatMap(search(_).iterator).nextOption()
   }
@@ -119,7 +120,7 @@ object FlashFillSynth {
     byGeneral.foreach { case (gen, exs) =>
       commonPlan(exs) match {
         case Some(plan) =>
-          branches += FBranch(gen, None, None, Set.empty, plan, exs)
+          branches += FBranch(gen, None, None, plan)
         case None =>
           // Greedy partition into plan-consistent groups, then try keyword
           // conditionals FIRST (FlashFill's learned predicates generalize
@@ -137,20 +138,19 @@ object FlashFillSynth {
           }
           if (groups.size > 1 && kws.forall(_.isDefined)) {
             groups.zip(kws).foreach { case (g, kw) =>
-              branches += FBranch(gen, None, kw, Set.empty, commonPlan(g).get, g)
+              branches += FBranch(gen, None, kw, commonPlan(g).get)
             }
           } else {
             val byExact = exs.groupBy(e => Tokenizer.tokenize(e._1)).toVector.sortBy(_._1.render)
             byExact.foreach { case (exact, sub) =>
-              val exactOpt = if (byExact.size > 1) Some(Set(exact)) else None
+              val exactOpt = if (byExact.size > 1) Some(exact) else None
               commonPlan(sub) match {
                 case Some(plan) =>
-                  branches += FBranch(gen, exactOpt, None, Set.empty, plan, sub)
+                  branches += FBranch(gen, exactOpt, None, plan)
                 case None =>
                   // memorize: one branch per example, keyed by the whole input
                   sub.foreach { case (in, out) =>
-                    branches += FBranch(gen, exactOpt, Some(in), Set.empty,
-                                        FPlan(Vector(FConst(out))), Vector((in, out)))
+                    branches += FBranch(gen, exactOpt, Some(in), FPlan(Vector(FConst(out))))
                   }
               }
             }

@@ -54,18 +54,21 @@ object ClxSim {
     else leavesCd
   }
 
+  /** The length of the ranked suggestion list per source pattern (§6.3
+    * "we also list the other k transformation plans").
+    */
+  val Suggestions = 40
+
   /** Run the full simulated interaction over (input, expected) pairs.
     *
-    * `k` is the length of the ranked suggestion list per source pattern
-    * (§6.3 "we also list the other k transformation plans"). The user
-    * repairs with the plan whose *preview* (Fig. 8) shows the right
-    * output, so a repair is one action regardless of the plan's position
-    * in the list.
+    * The user repairs with the plan whose *preview* (Fig. 8) shows the
+    * right output among the `Suggestions` ranked plans, so a repair is one
+    * action regardless of the plan's position in the list.
     */
-  def run(data: Seq[(String, String)], k: Int = 40): Outcome = {
+  def run(data: Seq[(String, String)]): Outcome = {
     val targets = chooseTargets(data)
     val root = Synthesizer.hierarchyOf(data.map(_._1))
-    val result = Synthesizer.synthesize(root, targets, k)
+    val result = Synthesizer.synthesize(root, targets, Suggestions)
 
     // Repair phase: each record routed once by the default program; per
     // branch with records, walk the ranked plans at the routed token bounds.

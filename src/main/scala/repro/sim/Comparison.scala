@@ -29,9 +29,6 @@ object Comparison {
   def runTask(t: Task): TaskResult =
     TaskResult(t, ClxSim.run(t.data), FlashFillSim.run(t.data), RegexReplaceSim.run(t.data))
 
-  def runAll(tasks: Vector[Task] = Benchmarks.all): Vector[TaskResult] =
-    tasks.map(runTask)
-
   /** Fewer steps wins (paper's comparison semantics). */
   def compare(mine: Seq[Int], theirs: Seq[Int]): WinTieLose = {
     val pairs = mine.zip(theirs)
@@ -51,5 +48,6 @@ object Comparison {
     def n: Int = results.size
   }
 
-  def summary(tasks: Vector[Task] = Benchmarks.all): Summary = Summary(runAll(tasks))
+  /** The three simulated users over every task of `Benchmarks.all`. */
+  def summary(): Summary = Summary(Benchmarks.all.map(runTask))
 }

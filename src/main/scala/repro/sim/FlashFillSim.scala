@@ -19,11 +19,13 @@ object FlashFillSim {
 
   def run(data: Seq[(String, String)], exampleBudget: Int = 30): Outcome = {
     var examples = Vector.empty[(String, String)]
+    var prog = FlashFillSynth.learn(examples)
     var done = false
     while (!done && examples.size < exampleBudget) {
-      val prog = FlashFillSynth.learn(examples)
       data.find { case (in, out) => prog(in) != out } match {
-        case Some(ex) if !examples.contains(ex) => examples :+= ex
+        case Some(ex) if !examples.contains(ex) =>
+          examples :+= ex
+          prog = FlashFillSynth.learn(examples)
         case Some(_) =>
           // The program is inconsistent with an already-given example
           // (ambiguity the DSL cannot resolve); the user gives up.
@@ -31,7 +33,6 @@ object FlashFillSim {
         case None => done = true
       }
     }
-    val prog = FlashFillSynth.learn(examples)
     val failures = data.count { case (in, out) => prog(in) != out }
     Outcome(examples.size, failures, failures == 0)
   }

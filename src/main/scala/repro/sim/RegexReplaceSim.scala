@@ -1,11 +1,16 @@
 package repro.sim
 
 import repro.core._
-import repro.core.UniFi.{Branch, ConstStr, Plan}
-import repro.regexreplace.RegexReplace
-import repro.regexreplace.RegexReplace.Recipe
+import repro.core.UniFi.{Branch, ConstStr, Plan, Program}
 
 /** §7.4 simulated RegexReplace (Trifacta) user.
+  *
+  * RegexReplace models Trifacta Wrangler's manual Replace feature: an
+  * ordered recipe of full-match `Replace(regex, replacement)` operations,
+  * first match wins, unmatched strings pass through. An op is kept as a
+  * UniFi branch, Match(pattern) → plan over its tokens, and a recipe runs as
+  * a `Program` without targets; an op's user-facing regex and replacement
+  * come from `RegexExplain`.
   *
   * The user iterates over the data; for the first record the current
   * recipe still gets wrong they author one `Replace(regex, replacement)`:
@@ -21,8 +26,9 @@ import repro.regexreplace.RegexReplace.Recipe
   */
 object RegexReplaceSim {
 
-  final case class Outcome(ops: Int, failures: Int, perfect: Boolean, recipe: Recipe) {
-    def steps: Int = 2 * ops + failures
+  /** `ops` is the final recipe, in priority order. */
+  final case class Outcome(ops: Vector[Branch], failures: Int, perfect: Boolean) {
+    def steps: Int = 2 * ops.size + failures
   }
 
   /** Author an op for one record, as a competent user would: reference a
@@ -60,26 +66,25 @@ object RegexReplaceSim {
     // have no adjacent same-class runs), so the plan carries over.
     val generalized = Hierarchy.getParent(src, Hierarchy.strategy1)
     val genOp = Branch(generalized, plan)
-    if (Recipe(Vector(genOp)).program(in).contains(out)) genOp else Branch(src, plan)
+    if (Program(Vector.empty, Vector(genOp))(in).contains(out)) genOp else Branch(src, plan)
   }
 
   private def exactOp(in: String, out: String): Branch =
     Branch(Pattern.of(Token.lit(in)), Plan(Vector(ConstStr(out))))
 
   def run(data: Seq[(String, String)], opBudget: Int = 30): Outcome = {
-    var recipe = RegexReplace.empty
+    var ops = Vector.empty[Branch]
+    var recipe = Program(Vector.empty, ops)
     var done = false
-    while (!done && recipe.size < opBudget) {
-      data.find { case (in, out) => recipe(in) != out } match {
+    while (!done && ops.size < opBudget) {
+      data.find { case (in, out) => recipe.applyFlagged(in)._1 != out } match {
         case None => done = true
         case Some((in, out)) =>
-          val covered = recipe.program(in).isDefined
-          recipe =
-            if (covered) recipe.prepend(exactOp(in, out))
-            else recipe.append(authorOp(in, out))
+          ops = if (recipe(in).isDefined) exactOp(in, out) +: ops else ops :+ authorOp(in, out)
+          recipe = Program(Vector.empty, ops)
       }
     }
-    val failures = data.count { case (in, out) => recipe(in) != out }
-    Outcome(recipe.size, failures, failures == 0, recipe)
+    val failures = data.count { case (in, out) => recipe.applyFlagged(in)._1 != out }
+    Outcome(ops, failures, failures == 0)
   }
 }

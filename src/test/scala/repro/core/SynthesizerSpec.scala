@@ -135,6 +135,9 @@ class SynthesizerSpec extends AnyFunSuite {
     val p0 = res.programWith(Seq(target), Map.empty)
     val p1 = res.programWith(Seq(target), Map(sol.source -> 1))
     assert(p0("938-242-504") != p1("938-242-504"))
+    assert(p0 == res.program(Seq(target)))
+    // a choice past the ranked list is an error, not the last plan
+    intercept[IndexOutOfBoundsException](res.programWith(Seq(target), Map(sol.source -> sol.plans.size)))
   }
 
   test("synthesize skips target patterns themselves") {

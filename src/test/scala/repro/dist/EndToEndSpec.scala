@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthData}
 import repro.core._
 import repro.sim.ClxSim
+import TransformSpark.{FlagCol, OutCol}
 
 /** Full CLX pipeline over Spark (`Clx.run`): cluster → label → synthesize →
   * transform → pattern-level verify, on the messy phone column (the §7.2
@@ -19,8 +20,8 @@ class EndToEndSpec extends SparkSpec {
     val session = Clx.run(data, "raw", SynthData.isTargetPhone)
     assert(session.verified)
     val out = session.output.cache()
-    val correct = out.filter(col("transformed") === col("expected")).count()
-    val matched = out.filter(col("matched")).count()
+    val correct = out.filter(col(OutCol) === col("expected")).count()
+    val matched = out.filter(col(FlagCol)).count()
     data.unpersist(); out.unpersist()
     (correct, matched)
   }
@@ -52,7 +53,7 @@ class EndToEndSpec extends SparkSpec {
     val data = SynthData.messyPhones(spark, 2000, 6).cache()
     val prog = Clx.run(data, "raw", SynthData.isTargetPhone).program
     val out = TransformSpark.transformViaRegex(data, "raw", prog)
-    assert(out.filter(col("transformed") === col("expected")).count() == 2000)
+    assert(out.filter(col(OutCol) === col("expected")).count() == 2000)
     data.unpersist()
   }
 

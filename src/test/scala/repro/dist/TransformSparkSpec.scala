@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.core.UniFi._
+import TransformSpark.{FlagCol, OutCol}
 
 /** Distributed program application (per-partition UDF via withColumn) and
   * pattern-level verification; the regexp-replace explanation is checked
@@ -38,7 +39,7 @@ class TransformSparkSpec extends SparkSpec {
 
   test("verifyPatterns clusters the output column") {
     val t = TransformSpark.transform(df(Seq("201.555.0100", "202.555.0100", "N/A")), "s", prog)
-    val v = TransformSpark.verifyPatterns(t, "transformed", Seq(target)).collect()
+    val v = TransformSpark.verifyPatterns(t, OutCol, Seq(target)).collect()
     val byPat = v.map(r => (r.getString(0), r.getLong(1), r.getBoolean(2))).toList
     assert(byPat.contains((target.render, 2L, true)))
     assert(byPat.exists { case (p, n, isT) => p != target.render && n == 1L && !isT })
@@ -46,7 +47,7 @@ class TransformSparkSpec extends SparkSpec {
 
   test("allVerified holds when every matched record reaches the target pattern") {
     val t = TransformSpark.transform(df(Seq("201.555.0100", "N/A")), "s", prog)
-    assert(TransformSpark.allVerified(t, "transformed", "matched", Seq(target)))
+    assert(TransformSpark.allVerified(t, OutCol, FlagCol, Seq(target)))
   }
 
   test("allVerified runs the program once per row") {
@@ -58,26 +59,26 @@ class TransformSparkSpec extends SparkSpec {
     // not a local relation, which the optimizer would evaluate on the driver
     val data = df(rows).repartition(2)
     val t = data.withColumn("_clx", counted(data("s")))
-      .withColumn("transformed", col("_clx._1"))
-      .withColumn("matched", col("_clx._2"))
+      .withColumn(OutCol, col("_clx._1"))
+      .withColumn(FlagCol, col("_clx._2"))
       .drop("_clx")
-    assert(TransformSpark.allVerified(t, "transformed", "matched", Seq(target)))
+    assert(TransformSpark.allVerified(t, OutCol, FlagCol, Seq(target)))
     assert(calls.sum == rows.size)
   }
 
   test("allVerified fails for a broken program") {
     val bad = Program(Vector(target), Vector(Branch(src, Plan(Vector(Extract(1))))))
     val t = TransformSpark.transform(df(Seq("201.555.0100")), "s", bad)
-    assert(!TransformSpark.allVerified(t, "transformed", "matched", Seq(target)))
+    assert(!TransformSpark.allVerified(t, OutCol, FlagCol, Seq(target)))
   }
 
   test("verification accepts a target that carries a constant") {
     val cpt = Synthesizer.leafClusters(Seq("CPT115", "CPT204", "CPT987")).keys.toVector
     assert(cpt.map(_.render) == Vector("'CPT'<D>3"))
     val t = TransformSpark.transform(df(Seq("CPT115", "CPT204", "CPT987")), "s", Program(cpt, prog.branches))
-    assert(t.filter(col("matched")).count() == 3)
-    assert(TransformSpark.allVerified(t, "transformed", "matched", cpt))
-    val v = TransformSpark.verifyPatterns(t, "transformed", cpt).collect()
+    assert(t.filter(col(FlagCol)).count() == 3)
+    assert(TransformSpark.allVerified(t, OutCol, FlagCol, cpt))
+    val v = TransformSpark.verifyPatterns(t, OutCol, cpt).collect()
     assert(v.map(r => (r.getString(0), r.getLong(1), r.getBoolean(2))).toSeq == Seq(("<U>3<D>3", 3L, true)))
   }
 
@@ -87,8 +88,8 @@ class TransformSparkSpec extends SparkSpec {
       Token(TokType.D, Quant.Plus), Token.lit("]"))
     val t = TransformSpark.transform(df(Seq("[CPT-00350]", "[MRI-1]", "CPT-00350")), "s",
       Program(Vector(bracketed), Vector.empty))
-    assert(TransformSpark.allVerified(t, "transformed", "matched", Seq(bracketed)))
-    val v = TransformSpark.verifyPatterns(t, "transformed", Seq(bracketed)).collect()
+    assert(TransformSpark.allVerified(t, OutCol, FlagCol, Seq(bracketed)))
+    val v = TransformSpark.verifyPatterns(t, OutCol, Seq(bracketed)).collect()
     assert(v.map(r => (r.getString(0), r.getBoolean(2))).toSet ==
       Set(("'['<U>3'-'<D>5']'", true), ("'['<U>3'-'<D>1']'", true), ("<U>3'-'<D>5", false)))
   }
@@ -96,9 +97,9 @@ class TransformSparkSpec extends SparkSpec {
   test("allVerified skips null outputs and verifyPatterns lists them") {
     import spark.implicits._
     val t = TransformSpark.transform(Seq(Some("201.555.0100"), None).toDF("s"), "s", prog)
-      .withColumn("matched", lit(true))
-    assert(TransformSpark.allVerified(t, "transformed", "matched", Seq(target)))
-    val v = TransformSpark.verifyPatterns(t, "transformed", Seq(target)).collect()
+      .withColumn(FlagCol, lit(true))
+    assert(TransformSpark.allVerified(t, OutCol, FlagCol, Seq(target)))
+    val v = TransformSpark.verifyPatterns(t, OutCol, Seq(target)).collect()
     assert(v.map(r => (r.getString(0), r.getLong(1), r.getBoolean(2))).toSeq ==
       Seq((null, 1L, false), (target.render, 1L, true)))
   }
@@ -107,7 +108,7 @@ class TransformSparkSpec extends SparkSpec {
     val replace = RegexExplain.explain(prog.branches.head)
     val data = df(Seq("201.555.0100", "944.123.9876", "000.111.2222"))
     val sparkOut = TransformSpark.transform(data, "s", prog)
-      .select(col("s"), col("transformed") as "out")
+      .select(col("s"), col(OutCol) as "out")
     // NB: standard SQL string literals do not process backslashes, so the
     // RE2 replacement goes in verbatim.
     Oracle.assertEquivalent(
@@ -128,7 +129,7 @@ class TransformSparkSpec extends SparkSpec {
       s"regexp_replace($expr, '${r.regex}', '${r.re2Replacement}')"
     }
     val sparkOut = TransformSpark.transform(data, "s", prog2)
-      .select(col("s"), col("transformed") as "out")
+      .select(col("s"), col(OutCol) as "out")
     Oracle.assertEquivalent(sparkOut, s"SELECT s, $sql AS out FROM t", "t" -> data)
   }
 
@@ -141,7 +142,7 @@ class TransformSparkSpec extends SparkSpec {
     val replace = RegexExplain.explain(prog10.branches.head)
     val data = df(Seq("10.11.12.13.14.15.16.17.18.19", "99.98.97.96.95.94.93.92.91.90"))
     val sparkOut = TransformSpark.transform(data, "s", prog10)
-      .select(col("s"), col("transformed") as "out")
+      .select(col("s"), col(OutCol) as "out")
     assert(sparkOut.collect().exists(_.getString(1) == "10.11.12.13.14 15.16.17.18.19"))
     Oracle.assertEquivalent(
       sparkOut,
@@ -153,9 +154,9 @@ class TransformSparkSpec extends SparkSpec {
   test("Catalyst-native path: transformViaRegex equals the UDF path") {
     val data = df(Seq("201.555.0100", "944.123.9876", "(555) 123-4567", "N/A"))
     val viaUdf = TransformSpark.transform(data, "s", prog)
-      .select(col("s"), col("transformed") as "out")
+      .select(col("s"), col(OutCol) as "out")
     val viaRegex = TransformSpark.transformViaRegex(data, "s", prog)
-      .select(col("s"), col("transformed") as "out")
+      .select(col("s"), col(OutCol) as "out")
     val a = viaUdf.collect().map(_.toString).sorted
     val b = viaRegex.collect().map(_.toString).sorted
     assert(a.sameElements(b))
@@ -165,7 +166,7 @@ class TransformSparkSpec extends SparkSpec {
     val data = df(Seq("201.555.0100", "123.456.7890"))
     val replace = RegexExplain.explain(prog.branches.head)
     val viaRegex = TransformSpark.transformViaRegex(data, "s", prog)
-      .select(col("s"), col("transformed") as "out")
+      .select(col("s"), col(OutCol) as "out")
     Oracle.assertEquivalent(
       viaRegex,
       s"SELECT s, regexp_replace(s, '${replace.regex}', '${replace.re2Replacement}') AS out FROM t",
@@ -179,9 +180,9 @@ class TransformSparkSpec extends SparkSpec {
       "(201) 555-0100\n", "201.555.0100"))
     val replace = RegexExplain.explain(prog.branches.head)
     val viaUdf = TransformSpark.transform(data, "s", prog)
-      .select(col("s"), col("transformed") as "out")
+      .select(col("s"), col(OutCol) as "out")
     val viaRegex = TransformSpark.transformViaRegex(data, "s", prog)
-      .select(col("s"), col("transformed") as "out")
+      .select(col("s"), col(OutCol) as "out")
     assert(viaUdf.collect().count(r => r.getString(0) == r.getString(1)) == 4)
     assert(viaRegex.collect().map(_.toString).sorted.sameElements(viaUdf.collect().map(_.toString).sorted))
     Oracle.assertEquivalent(

@@ -59,6 +59,21 @@ class FlashFillSpec extends AnyFunSuite {
     assert(prog("memo.doc") == "file: memo.doc")
   }
 
+  test("refined branches listed after their general branch still win on their inputs") {
+    val gen = Hierarchy.getParent(Tokenizer.tokenize("Carl Young"), Hierarchy.strategy1)
+    val prog = FFProgram(Vector(
+      FBranch(gen, None, None, FPlan(Vector(FConst("general")))),
+      FBranch(gen, None, Some("Ann"), FPlan(Vector(FConst("keyword")))),
+      FBranch(gen, Some(Tokenizer.tokenize("Bob Stone")), None, FPlan(Vector(FConst("exact")))),
+    ))
+    assert(prog("Carl Young") == "general")
+    assert(prog("Ann Lee") == "keyword")
+    assert(prog("Bob Stone") == "exact")
+    // both refinements apply: the exact pattern is the more specific
+    assert(prog("Bob Annes") == "exact")
+    assert(prog("12345") == "12345")
+  }
+
   test("initials from sub-token-free case split") {
     val prog = FlashFillSynth.learn(Vector(("John Smith", "J.S.")))
     assert(prog("Mary Jones") == "M.J.")

@@ -4,10 +4,12 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Ascii
 import repro.core.{DispatcherSpec, Pattern, Token, Tokenizer}
-import repro.core.UniFi.{Branch, ConstStr, Extract, Plan}
-import RegexReplace._
+import repro.core.UniFi.{Branch, ConstStr, Extract, Plan, Program}
 
-/** The RegexReplace substrate: recipe semantics. */
+/** The RegexReplace baseline's recipe semantics: an ordered vector of
+  * Replace ops run as `Program(Vector.empty, ops)`, as `RegexReplaceSim`
+  * runs them.
+  */
 class RegexReplaceSpec extends AnyFunSuite {
 
   private val phoneOp = Branch(
@@ -15,8 +17,14 @@ class RegexReplaceSpec extends AnyFunSuite {
     Plan(Vector(ConstStr("("), Extract(1), ConstStr(") "), Extract(3), ConstStr("-"), Extract(5))),
   )
 
+  /** The recipe of `ops`, first match wins. */
+  private def recipe(ops: Vector[Branch]): Program = Program(Vector.empty, ops)
+
+  /** `ops` on `s`: the first matching op's output, else `s` unchanged. */
+  private def rewrite(ops: Vector[Branch], s: String): String = recipe(ops).applyFlagged(s)._1
+
   /** `op` alone on `s`: its output, or None where it does not match. */
-  private def applyOp(op: Branch, s: String): Option[String] = Recipe(Vector(op)).program(s)
+  private def applyOp(op: Branch, s: String): Option[String] = recipe(Vector(op))(s)
 
   test("op applies on full match only") {
     assert(applyOp(phoneOp, "201.555.0100").contains("(201) 555-0100"))
@@ -25,29 +33,28 @@ class RegexReplaceSpec extends AnyFunSuite {
 
   test("recipe: first match wins") {
     val identity = Branch(Tokenizer.tokenize("734.645.8397"), Plan(Vector(Extract(1, 5))))
-    val r = Recipe(Vector(identity, phoneOp))
-    assert(r("201.555.0100") == "201.555.0100")
+    assert(rewrite(Vector(identity, phoneOp), "201.555.0100") == "201.555.0100")
   }
 
   test("recipe: unmatched strings pass through") {
-    assert(Recipe(Vector(phoneOp))("N/A") == "N/A")
+    assert(rewrite(Vector(phoneOp), "N/A") == "N/A")
   }
 
   test("prepend puts the op in front") {
     val exact = Branch(Pattern.of(Token.lit("201.555.0100")), Plan(Vector(ConstStr("special"))))
-    val r = Recipe(Vector(phoneOp)).prepend(exact)
-    assert(r("201.555.0100") == "special")
-    assert(r("202.555.0100") == "(202) 555-0100")
+    val ops = exact +: Vector(phoneOp)
+    assert(rewrite(ops, "201.555.0100") == "special")
+    assert(rewrite(ops, "202.555.0100") == "(202) 555-0100")
   }
 
   test("append preserves earlier ops' priority") {
-    val r = empty.append(phoneOp).append(Branch(Tokenizer.tokenize("1.2.3"), Plan(Vector(Extract(1)))))
-    assert(r.size == 2)
-    assert(r("9.8.7") == "9")
+    val ops = Vector.empty[Branch] :+ phoneOp :+ Branch(Tokenizer.tokenize("1.2.3"), Plan(Vector(Extract(1))))
+    assert(ops.size == 2)
+    assert(rewrite(ops, "9.8.7") == "9")
   }
 
   test("empty recipe is the identity") {
-    assert(empty("anything") == "anything")
+    assert(rewrite(Vector.empty, "anything") == "anything")
   }
 
   test("ops render to user-facing Replace form via RegexExplain") {
@@ -79,12 +86,12 @@ class RegexReplaceSpec extends AnyFunSuite {
     val recipes = Gen.choose(0, 6).flatMap(Gen.listOfN(_, ops)).map(_.toVector)
     val strings = Gen.choose(0, 40).flatMap(Gen.listOfN(_, Gen.oneOf(exactStrings, DispatcherSpec.strings)))
     val prop = Prop.forAllNoShrink(recipes, strings) { (ops, random) =>
-      val recipe = Recipe(ops)
+      val program = recipe(ops)
       // every exact-string op's own string, and random ones
       val column = ops.flatMap(_.pattern.tokens.flatMap(_.literalValue)) ++ random
-      column.find(s => recipe(s) != reference(ops, s).getOrElse(s) || recipe.program(s) != reference(ops, s)) match {
+      column.find(s => program.applyFlagged(s)._1 != reference(ops, s).getOrElse(s) || program(s) != reference(ops, s)) match {
         case None    => Prop.passed
-        case Some(s) => Prop.falsified :| Ascii.escape(s"'$s': ${recipe(s)} != ${reference(ops, s)} under ${recipe.program.render}")
+        case Some(s) => Prop.falsified :| Ascii.escape(s"'$s': ${program(s)} != ${reference(ops, s)} under ${program.render}")
       }
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(1000), prop)

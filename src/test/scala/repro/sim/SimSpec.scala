@@ -86,23 +86,23 @@ class SimSpec extends AnyFunSuite {
 
   test("RegexReplace: each op costs two steps") {
     val o = RegexReplaceSim.run(task("sygus-phone-1-long").data)
-    assert(o.ops == 1 && o.steps == 2 && o.perfect)
+    assert(o.ops.size == 1 && o.steps == 2 && o.perfect)
   }
 
   test("RegexReplace: one generalized op per format family") {
     val o = RegexReplaceSim.run(task("sygus-phone-10-long").data)
-    assert(o.ops == 4 && o.perfect)
+    assert(o.ops.size == 4 && o.perfect)
   }
 
   test("RegexReplace: same-pattern permutation degenerates to per-record ops") {
     val o = RegexReplaceSim.run(task("sygus-reverse-name-long").data)
-    assert(o.ops > 2) // regex alone cannot distinguish "First Last" from "Last First"
+    assert(o.ops.size > 2) // regex alone cannot distinguish "First Last" from "Last First"
   }
 
   test("RegexReplace: op budget bounds the loop and punishes leftovers") {
     val o = RegexReplaceSim.run(task("prose-popl13").data, opBudget = 2)
-    assert(o.ops <= 2)
-    assert(o.steps == 2 * o.ops + o.failures)
+    assert(o.ops.size <= 2)
+    assert(o.steps == 2 * o.ops.size + o.failures)
   }
 
   // -------------------------------------------------------------- Table 7
