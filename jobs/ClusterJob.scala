@@ -16,8 +16,7 @@ object ClusterJob {
   def main(args: Array[String]): Unit = {
     val rows = args.headOption.map(_.toLong).getOrElse(100000L)
     val formats = args.lift(1).map(_.toInt).getOrElse(6)
-    val spark = SparkSession.builder().appName("clx-cluster")
-      .config("spark.sql.shuffle.partitions", 64).getOrCreate()
+    val spark = SparkSession.builder().appName("clx-cluster").getOrCreate()
     try {
       val df = args.lift(2) match {
         case Some(path) =>

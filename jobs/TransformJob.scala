@@ -17,8 +17,7 @@ object TransformJob {
   def main(args: Array[String]): Unit = {
     val rows = args.headOption.map(_.toLong).getOrElse(100000L)
     val formats = args.lift(1).map(_.toInt).getOrElse(6)
-    val spark = SparkSession.builder().appName("clx-transform")
-      .config("spark.sql.shuffle.partitions", 64).getOrCreate()
+    val spark = SparkSession.builder().appName("clx-transform").getOrCreate()
     try {
       val data = SynthData.messyPhones(spark, rows, formats).cache()
       val session = Clx.run(data, "raw", SynthData.isTargetPhone)
@@ -29,7 +28,7 @@ object TransformJob {
 
       println("\n== Output pattern clusters (Fig. 2) ==")
       session.outputListing.foreach { r =>
-        println(f"${r.getString(0)}%-40s ${r.getLong(1)}%10d   target=${r.getBoolean(2)}")
+        println(f"${r.pattern}%-40s ${r.count}%10d   target=${r.onTarget}")
       }
       println(s"verified: ${session.verified}")
       val nCorrect = session.output.filter(col(TransformSpark.OutCol) === col("expected")).count()

@@ -1,6 +1,6 @@
 package repro.dist
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import repro.core._
 import Hierarchy.PNode
 
@@ -25,12 +25,13 @@ object Clx {
 
   /** What a session shows the user. `output` adds the `TransformSpark.OutCol`
     * and `FlagCol` columns to the input (lazily, uncached); `verified` is
-    * `TransformSpark.allVerified` and `outputListing` the rows of
+    * `TransformSpark.allVerified` and `outputListing` the output column's
+    * listing, whose `(pattern, count, onTarget)` are the rows of
     * `TransformSpark.verifyPatterns`.
     */
   final case class Session(listing: Seq[ClusterProfile.Listed], hierarchy: PNode, targets: Vector[Pattern],
                            program: UniFi.Program, output: DataFrame, verified: Boolean,
-                           outputListing: Seq[Row], times: Times)
+                           outputListing: Seq[ClusterProfile.Listed], times: Times)
 
   /** Listing and hierarchy of `df(col)` from one scan. */
   def cluster(df: DataFrame, col: String): Clustering = {
@@ -52,7 +53,7 @@ object Clx {
     val t2 = System.nanoTime()
     val output = TransformSpark.transform(df, col, program)
     val verified = TransformSpark.allVerified(output, TransformSpark.OutCol, TransformSpark.FlagCol, targets)
-    val outputListing = TransformSpark.verifyPatterns(output, TransformSpark.OutCol, targets).collect().toSeq
+    val outputListing = PatternClusteringSpark.profile(output, TransformSpark.OutCol, targets).listing
     val t3 = System.nanoTime()
     Session(listing, hierarchy, targets, program, output, verified, outputListing,
       Times((t1 - t0) / 1e9, (t2 - t1) / 1e9, (t3 - t2) / 1e9))

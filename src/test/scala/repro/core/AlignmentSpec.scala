@@ -9,7 +9,7 @@ import UniFi.{ConstStr, Extract}
   */
 class AlignmentSpec extends AnyFunSuite {
 
-  private def p(s: String) = Tokenizer.tokenize(s)
+  import PatternGen.p
 
   test("syntactic similarity: same class, equal numeric quantifiers") {
     assert(Alignment.syntacticallySimilar(Token(D, 3), Token(D, 3)))

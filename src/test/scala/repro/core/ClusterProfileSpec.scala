@@ -1,7 +1,7 @@
 package repro.core
 
 import java.nio.charset.StandardCharsets.UTF_8
-import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import TokType._
 
@@ -11,36 +11,7 @@ import TokType._
   */
 class ClusterProfileSpec extends AnyFunSuite {
 
-  private def check(prop: Prop, tests: Int = 300): Unit = {
-    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(tests), prop)
-    assert(res.passed, res.status.toString)
-  }
-
-  /** Strings from a few format families; small alphabets so that leaf
-    * patterns repeat and positions are often (but not always) constant.
-    */
-  private val strings: Gen[String] = {
-    def digits(n: Int) = Gen.listOfN(n, Gen.oneOf('1', '2', '7')).map(_.mkString)
-    Gen.oneOf(
-      for (a <- digits(3); b <- digits(3); c <- digits(4); sep <- Gen.oneOf("-", ".", " "))
-        yield s"$a$sep$b$sep$c",
-      for (code <- Gen.oneOf("CPT", "MRI"); n <- digits(3)) yield code + n,
-      for (t <- Gen.oneOf("Dr.", "Mr."); name <- Gen.oneOf("Eran", "Kath", "Bob")) yield s"$t $name",
-      Gen.choose(0, 5).flatMap(n =>
-        Gen.listOfN(n, Gen.oneOf('a', 'B', '7', '-', '\u0000', '\u0003', 'é')).map(_.mkString)),
-    )
-  }
-
-  private val columns: Gen[List[String]] = Gen.choose(0, 60).flatMap(Gen.listOfN(_, strings))
-
-  /** Cells for the listings: the families above, strings with literals past
-    * ASCII (é, ～ and the surrogate pair 😀), and nulls.
-    */
-  private val cells: Gen[List[String]] = {
-    val wide = Gen.choose(0, 4).flatMap(n =>
-      Gen.listOfN(n, Gen.oneOf("a", "Z", "7", "-", "é", "～", "😀")).map(_.mkString))
-    Gen.choose(0, 60).flatMap(Gen.listOfN(_, Gen.frequency(6 -> strings, 3 -> wide, 1 -> Gen.const(null))))
-  }
+  import PatternGen.{cells, check, columns, strings, tagged, words}
 
   /** A target with a constant and a `+`, so that strings of one leaf cluster
     * can differ in whether they are on target, and a plain leaf target.
@@ -69,18 +40,18 @@ class ClusterProfileSpec extends AnyFunSuite {
     }.groupMapReduce(_._1)(_._2)(_ + _)
 
   test("merging split profiles equals folding the whole") {
-    check(Prop.forAll(columns, Gen.choose(0, 60)) { (column, at) =>
+    check(Prop.forAll(columns, Gen.choose(0, 80)) { (column, at) =>
       val (a, b) = column.splitAt(at)
       val whole = ClusterProfile.of(column)
       ClusterProfile.of(a).merge(ClusterProfile.of(b)) == whole &&
         ClusterProfile.of(b).merge(ClusterProfile.of(a)) == whole
-    })
+    }, tests = 300)
     check(Prop.forAllNoShrink(cells, Gen.choose(0, 60)) { (column, at) =>
       val (a, b) = column.splitAt(at)
       val whole = profileOf(column)
       profileOf(a).merge(profileOf(b)) == whole &&
         profileOf(b).merge(profileOf(a)) == whole
-    })
+    }, tests = 300)
   }
 
   test("merge is associative and leaves its argument alone") {
@@ -90,7 +61,7 @@ class ClusterProfileSpec extends AnyFunSuite {
       val right = ClusterProfile.of(a).merge(ClusterProfile.of(b).merge(pc))
       left == right && left == ClusterProfile.of(a ++ b ++ c) &&
         pb == ClusterProfile.of(b) && pc == ClusterProfile.of(c) && pa == ClusterProfile.of(a)
-    })
+    }, tests = 300)
   }
 
   test("leafClusters equals the groupBy(tokenize) reference") {
@@ -98,7 +69,7 @@ class ClusterProfileSpec extends AnyFunSuite {
       Synthesizer.leafClusters(column) == reference(column) &&
         ClusterProfile.of(column).leaves ==
           column.groupBy(Tokenizer.tokenize).view.mapValues(_.size.toLong).toMap
-    })
+    }, tests = 300)
   }
 
   // §4.1 "Find Constant Tokens": a class run whose substring is equal across
@@ -212,20 +183,15 @@ class ClusterProfileSpec extends AnyFunSuite {
   }
 
   test("literal characters equal to key tags stay distinct") {
-    val alphabet = Seq('\u0000', '\u0001', '\u0002', '\u0003', '\u0004', '0', 'a', 'A')
-    val all = (0 to 3).flatMap(n => Seq.fill(n)(alphabet).foldLeft(Seq(""))((acc, cs) =>
-      for (s <- acc; c <- cs) yield s + c))
-    assert(all.size == 1 + 8 + 64 + 512)
-    all.foreach { s =>
+    assert(tagged.size == 1 + 8 + 64 + 512)
+    tagged.foreach { s =>
       assert(ClusterProfile.leafPattern(ClusterProfile.key(s)) == Tokenizer.tokenize(s), s.map(_.toInt))
     }
-    assert(all.map(ClusterProfile.key).distinct.size == all.map(Tokenizer.tokenize).distinct.size)
+    assert(tagged.map(ClusterProfile.key).distinct.size == tagged.map(Tokenizer.tokenize).distinct.size)
   }
 
   test("a surrogate pair is one literal in the key, a lone surrogate one character") {
-    val parts = Seq("😀", "𝔸", "\uD83D", "\uDE00", "é", "\u0004", "7", "a")
-    val all = (0 to 3).flatMap(n => Seq.fill(n)(parts).foldLeft(Seq(""))((acc, ps) =>
-      for (s <- acc; p <- ps) yield s + p))
+    val all = words(Seq("😀", "𝔸", "\uD83D", "\uDE00", "é", "\u0004", "7", "a"))
     all.foreach { s =>
       assert(ClusterProfile.leafPattern(ClusterProfile.key(s)) == Tokenizer.tokenize(s), s.map(_.toInt))
     }

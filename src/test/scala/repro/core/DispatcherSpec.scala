@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
-import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Ascii
 import TokType._
@@ -12,19 +12,7 @@ import UniFi._
   */
 class DispatcherSpec extends AnyFunSuite {
 
-  import DispatcherSpec._
-
-  private def check(prop: Prop, tests: Int = 500): Unit = {
-    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(tests), prop)
-    assert(res.passed, Ascii.escape(res.status.toString))
-  }
-
-  /** Program application without the dispatcher: targets first, then each
-    * branch's `Pattern.split` and `Plan.eval`, the first output wins.
-    */
-  private def reference(prog: Program, s: String): Option[String] =
-    if (prog.targets.exists(_.matches(s))) Some(s)
-    else prog.branches.iterator.map(b => b.pattern.split(s).flatMap(b.plan.eval)).collectFirst { case Some(o) => o }
+  import PatternGen.{check, columns, fixed, p, plan, reference, strings, tagged}
 
   /** A string's leaf pattern, token by token kept, generalized (`+`, `<A>`,
     * `<AN>`, `-`/`_` into `<AN>`) or made the constant it holds.
@@ -47,8 +35,6 @@ class DispatcherSpec extends AnyFunSuite {
     sources <- Gen.choose(0, 4).flatMap(Gen.listOfN(_, patterns))
     plans <- Gen.sequence[List[Plan], Plan](sources.map(p => plan(p.size)))
   } yield Program(targets.toVector, sources.zip(plans).map { case (p, e) => Branch(p, e) }.toVector)
-
-  private val columns: Gen[List[String]] = Gen.choose(0, 80).flatMap(Gen.listOfN(_, strings))
 
   /** Applies `apply` to every string of `column` in order; a label names the
     * first string where it differs from the reference.
@@ -99,7 +85,7 @@ class DispatcherSpec extends AnyFunSuite {
     check(Prop.forAllNoShrink(programs, columns, Gen.choose(0, 3)) { (prog, column, cap) =>
       val dispatcher = new Dispatcher(prog.targets, prog.branches, cap)
       agrees(prog, column)(s => Option(dispatcher.output(s))) && Prop(dispatcher.memoSize <= cap)
-    })
+    }, tests = 500)
   }
 
   test("a column with more distinct leaf keys than the memo cap") {
@@ -116,6 +102,14 @@ class DispatcherSpec extends AnyFunSuite {
     column.foreach(s => assert(prog(s) == reference(prog, s), s))
     assert(column.count(prog(_).isDefined) > 0)
     assert(prog.dispatcher.memoSize == MemoCap)
+  }
+
+  test("literal characters equal to key tags dispatch to their own leaf pattern") {
+    // one branch per leaf pattern, each writing its pattern: a key shared by
+    // two leaf patterns would send one of them to the other's branch
+    val leaves = tagged.map(p).distinct
+    val prog = Program(Vector.empty, leaves.map(l => Branch(l, Plan(Vector(ConstStr(l.render))))).toVector)
+    tagged.foreach(s => assert(prog(s).contains(p(s).render), s.map(_.toInt)))
   }
 
   test("one program applied from several threads at once") {
@@ -154,67 +148,5 @@ class DispatcherSpec extends AnyFunSuite {
     val plus1 = Program(Vector.empty, Vector(Branch(fixed.head, Plan(Vector(Extract(4, 8))))))
     assert(Seq("+2 734-645-8397", "+1 734-645-8397", "+2 201-555-0100").map(plus1(_)) ==
       Seq(None, Some("734-645-8397"), None))
-  }
-}
-
-/** Generators of strings, patterns and plans for program properties. */
-object DispatcherSpec {
-
-  private def chars(alphabet: String, n: Int): Gen[String] = Gen.listOfN(n, Gen.oneOf(alphabet)).map(_.mkString)
-
-  /** Format families with noise. Small alphabets make strings of one leaf
-    * pattern differ where alphanumeric constants look (`CPT`/`MRI`, `+1`/`+2`,
-    * `Dr.`/`Ds.`).
-    */
-  val strings: Gen[String] = Gen.frequency(
-    4 -> (for {
-      a <- chars("0127", 3); b <- chars("0127", 3); c <- chars("0127", 4); d <- Gen.oneOf("1", "2")
-      fmt <- Gen.choose(0, 5)
-    } yield Seq(s"($a) $b-$c", s"($a)$b-$c", s"$a-$b-$c", s"$a.$b.$c", s"$a $b $c", s"+$d $a-$b-$c")(fmt)),
-    2 -> (for (code <- Gen.oneOf("CPT", "MRI", "CPU"); n <- chars("0127", 3)) yield code + n),
-    2 -> (for (t <- Gen.oneOf("Dr.", "Mr.", "Ds."); name <- Gen.oneOf("Eran", "Kath", "Bo")) yield s"$t $name"),
-    2 -> (for {
-      n <- Gen.choose(1, 3); parts <- Gen.listOfN(n, chars("aB7", 2)); sep <- Gen.oneOf("-", "_", "-_")
-    } yield parts.mkString(sep)),
-    1 -> Gen.const(""),
-    2 -> Gen.choose(0, 6).flatMap(n => Gen.listOfN(n,
-      Gen.oneOf("a", "Z", "7", "-", "_", ".", " ", "é", "😀", "𝔸", "\uD83D")).map(_.mkString)),
-  )
-
-  /** Patterns with alphanumeric constants, `+`, `<A>`/`<AN>` over `-`/`_`,
-    * a class run split inside a leaf run, non-BMP literals, and the empty
-    * pattern.
-    */
-  val fixed: Seq[Pattern] = {
-    def d(n: Int) = Token(D, n)
-    val plus = Quant.Plus
-    Seq(
-      Pattern.of(Token.lit("+"), Token.lit("1"), Token.lit(" "), d(3), Token.lit("-"), d(3), Token.lit("-"), d(4)),
-      Pattern.of(Token.lit("+1 "), d(3), Token.lit("-"), Token(D, plus)),
-      Pattern.of(Token.lit("CPT"), d(3)),
-      Pattern.of(Token.lit("CPT"), Token(D, plus)),
-      Pattern.of(Token.lit("Dr."), Token.lit(" "), Token(U, 1), Token(L, plus)),
-      Pattern.of(Token(U, plus), Token(D, plus)),
-      Pattern.of(Token(A, plus), Token.lit(" "), Token(A, plus)),
-      Pattern.of(Token(A, plus), Token(L, 2)),
-      Pattern.of(Token(D, plus), Token(D, 3)),
-      Pattern.of(Token(AN, plus)),
-      Pattern.of(Token(AN, plus), Token.lit("_"), Token(AN, plus)),
-      Pattern.of(Token(A, plus), Token.lit("-"), Token(AN, plus)),
-      Pattern.of(Token(D, plus), Token.lit("."), Token(D, plus), Token.lit("."), Token(D, plus)),
-      Pattern.of(Token(L, plus), Token.lit("😀")),
-      Pattern.of(Token.lit("😀"), Token(AN, plus)),
-      Pattern.of(Token.lit("\uD83D")),
-      Pattern.of(Token.lit("é"), Token(U, 1)),
-      Pattern.empty,
-    )
-  }
-
-  /** A plan over a pattern of `n` tokens; an `Extract` may reach past it. */
-  def plan(n: Int): Gen[Plan] = {
-    val op: Gen[StringExpr] = Gen.frequency(
-      1 -> Gen.oneOf("(", ") ", "-", "x", "").map(ConstStr(_)),
-      3 -> (for (i <- Gen.choose(1, n + 1); j <- Gen.choose(i, n + 1)) yield Extract(i, j)))
-    Gen.choose(0, 4).flatMap(Gen.listOfN(_, op)).map(ops => Plan(ops.toVector))
   }
 }

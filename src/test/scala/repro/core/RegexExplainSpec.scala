@@ -10,11 +10,7 @@ import UniFi._
   */
 class RegexExplainSpec extends AnyFunSuite {
 
-  private val src = Tokenizer.tokenize("734.645.8397")
-  private val plan = Plan(Vector(
-    ConstStr("("), Extract(1), ConstStr(") "), Extract(3), ConstStr("-"), Extract(5),
-  ))
-  private val branch = Branch(src, plan)
+  private val branch @ Branch(src, plan) = PatternGen.phoneBranch
 
   test("only extracted tokens get capturing groups") {
     val r = RegexExplain.explain(branch)

@@ -9,7 +9,7 @@ import repro.sim.ClxSim
   */
 class SynthesizerSpec extends AnyFunSuite {
 
-  private def p(s: String) = Tokenizer.tokenize(s)
+  import PatternGen.p
 
   /** The `k` best plans of one (source, target) alignment. */
   private def plansFor(source: Pattern, target: Pattern, k: Int): Vector[UniFi.Plan] =

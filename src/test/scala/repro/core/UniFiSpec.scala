@@ -6,10 +6,7 @@ import UniFi._
 /** The UniFi language (Fig. 7): evaluation semantics. */
 class UniFiSpec extends AnyFunSuite {
 
-  private val phoneSrc = Tokenizer.tokenize("734.645.8397")
-  private val plan = Plan(Vector(
-    ConstStr("("), Extract(1), ConstStr(") "), Extract(3), ConstStr("-"), Extract(5),
-  ))
+  private val Branch(phoneSrc, plan) = PatternGen.phoneBranch
 
   test("plan eval concatenates extracts and constants") {
     val vals = phoneSrc.split("734.645.8397").get

@@ -6,7 +6,7 @@ import TokType._
 /** §6.1 token-frequency validation (Eq. 1–2). */
 class ValidateSpec extends AnyFunSuite {
 
-  private def p(s: String) = Tokenizer.tokenize(s)
+  import PatternGen.p
 
   test("Q sums quantifiers of exactly-matching base classes") {
     val pat = p("(734) 645-8397")

@@ -13,12 +13,16 @@ import TransformSpark.{FlagCol, OutCol}
 class EndToEndSpec extends SparkSpec {
 
   /** One `Clx.run` session labeling the listed format-0 sample; the output
-    * must verify. Returns the rows exactly correct and the rows matched.
+    * must verify, and the session's output listing must give
+    * `verifyPatterns`' rows. Returns the rows exactly correct and the rows matched.
     */
   private def runPipeline(rows: Long, nFormats: Int): (Long, Long) = {
     val data = SynthData.messyPhones(spark, rows, nFormats).cache()
     val session = Clx.run(data, "raw", SynthData.isTargetPhone)
     assert(session.verified)
+    assert(session.outputListing.map(r => (r.pattern, r.count, r.onTarget)) ==
+      TransformSpark.verifyPatterns(session.output, OutCol, session.targets).collect().toSeq
+        .map(r => (r.getString(0), r.getLong(1), r.getBoolean(2))))
     val out = session.output.cache()
     val correct = out.filter(col(OutCol) === col("expected")).count()
     val matched = out.filter(col(FlagCol)).count()

@@ -1,6 +1,10 @@
 package repro.dist
 
+import java.nio.charset.StandardCharsets.UTF_8
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{Oracle, SparkSpec, SynthData}
@@ -11,12 +15,6 @@ import repro.core._
   * the listings against DuckDB and against Spark's own groupBy/orderBy.
   */
 class PatternClusteringSparkSpec extends SparkSpec {
-
-  import org.apache.spark.sql.DataFrame
-  private def df(strings: Seq[String]): DataFrame = {
-    import spark.implicits._
-    strings.toDF("s")
-  }
 
   /** The listings as Spark's groupBy/orderBy over a rendered-pattern UDF:
     * the reference the profile-built listings must equal.
@@ -146,15 +144,11 @@ class PatternClusteringSparkSpec extends SparkSpec {
   }
 
   test("leafClusters equals the driver path at 1 and 7 partitions") {
-    val rnd = new scala.util.Random(7)
-    def digits(n: Int) = Seq.fill(n)("127"(rnd.nextInt(3))).mkString
-    val strings = Seq.fill(400)(rnd.nextInt(4) match {
-      case 0 => s"${digits(3)}-${digits(3)}-${digits(4)}"
-      case 1 => Seq("CPT", "MRI")(rnd.nextInt(2)) + digits(3)
-      case 2 => Seq("Dr.", "Mr.")(rnd.nextInt(2)) + " " + Seq("Eran", "Kath")(rnd.nextInt(2))
-      case _ => Seq.fill(rnd.nextInt(5))("aB7-\u0000é"(rnd.nextInt(6))).mkString
-    })
-    val viaLocal = Synthesizer.leafClusters(strings)
+    val strings = Gen.listOfN(400, PatternGen.strings).pureApply(Gen.Parameters.default, Seed(7L))
+    // A Spark string column holds UTF-8: a lone surrogate reads back as '?'.
+    val held = strings.map(s => new String(s.getBytes(UTF_8), UTF_8))
+    assert(held != strings && df(strings).collect().map(_.getString(0)).toSeq == held)
+    val viaLocal = Synthesizer.leafClusters(held)
     Seq(1, 7).foreach { n =>
       assert(PatternClusteringSpark.leafClusters(df(strings).repartition(n), "s") == viaLocal, s"$n partitions")
     }

@@ -12,17 +12,9 @@ import TransformSpark.{FlagCol, OutCol}
   */
 class TransformSparkSpec extends SparkSpec {
 
-  import org.apache.spark.sql.DataFrame
-  private def df(strings: Seq[String]): DataFrame = {
-    import spark.implicits._
-    strings.toDF("s")
-  }
-
-  private val src = Tokenizer.tokenize("734.645.8397")
+  private val phone @ Branch(src, _) = PatternGen.phoneBranch
   private val target = Tokenizer.tokenize("(734) 645-8397")
-  private val plan = Plan(Vector(
-    ConstStr("("), Extract(1), ConstStr(") "), Extract(3), ConstStr("-"), Extract(5)))
-  private val prog = Program(Vector(target), Vector(Branch(src, plan)))
+  private val prog = Program(Vector(target), Vector(phone))
 
   test("transform rewrites matching records and flags them") {
     val out = TransformSpark.transform(df(Seq("201.555.0100", "N/A")), "s", prog).collect()
@@ -122,7 +114,7 @@ class TransformSparkSpec extends SparkSpec {
     val src2 = Tokenizer.tokenize("734-645-8397")
     val plan2 = Plan(Vector(
       ConstStr("("), Extract(1), ConstStr(") "), Extract(3), ConstStr("-"), Extract(5)))
-    val prog2 = Program(Vector(target), Vector(Branch(src, plan), Branch(src2, plan2)))
+    val prog2 = Program(Vector(target), Vector(phone, Branch(src2, plan2)))
     val replaces = RegexExplain.explainProgram(prog2)
     val data = df(Seq("201.555.0100", "201-555-0100", "(9) 9"))
     val sql = replaces.foldLeft("s") { (expr, r) =>
