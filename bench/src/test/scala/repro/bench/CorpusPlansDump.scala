@@ -3,6 +3,7 @@ package repro.bench
 import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, Paths}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.benchmark.Benchmarks
 import repro.core.{CorpusCalls, Mdl}
 import repro.sim.{ClxSim, FlashFillSim, RegexReplaceSim}
@@ -16,7 +17,7 @@ import repro.sim.{ClxSim, FlashFillSim, RegexReplaceSim}
   * is one `diff`. Run with
   * `sbt "bench/testOnly *CorpusPlansDump"`.
   */
-class CorpusPlansDump extends AnyFunSuite {
+class CorpusPlansDump extends AnyFunSuite with AsciiMessages {
 
   private val K = ClxSim.Suggestions
 

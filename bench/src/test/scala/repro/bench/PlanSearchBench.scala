@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.core.{CorpusCalls, Mdl}
 import WarmJvms.{ms, spread}
 
@@ -16,7 +17,7 @@ import WarmJvms.{ms, spread}
   * total the median and quartiles across JVMs. Run with
   * `sbt "bench/testOnly *PlanSearchBench"`.
   */
-class PlanSearchBench extends AnyFunSuite {
+class PlanSearchBench extends AnyFunSuite with AsciiMessages {
 
   import PlanSearchBench._
 

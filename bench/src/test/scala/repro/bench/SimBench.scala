@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.benchmark.Benchmarks
 import repro.sim.{ClxSim, RegexReplaceSim}
 import WarmJvms.{ms, spread}
@@ -16,7 +17,7 @@ import WarmJvms.{ms, spread}
   * task and in total the median and quartiles across JVMs. Run with
   * `sbt "bench/testOnly *SimBench"`.
   */
-class SimBench extends AnyFunSuite {
+class SimBench extends AnyFunSuite with AsciiMessages {
 
   import SimBench._
 

@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.benchmark.Benchmarks
 
 /** Table 5 (§7.3): statistics of the three explainability-study tasks.
@@ -10,7 +11,7 @@ import repro.benchmark.Benchmarks
   * exactly (they are corpus-construction parameters); lengths are
   * approximate because the underlying records were never released.
   */
-class Table5Bench extends AnyFunSuite {
+class Table5Bench extends AnyFunSuite with AsciiMessages {
 
   private val paper = Map(
     "Task1" -> (10, 11.8, 14, "human name"),

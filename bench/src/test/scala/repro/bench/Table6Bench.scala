@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.benchmark.Benchmarks
 
 /** Table 6 (§7.4): benchmark corpus statistics per source.
@@ -11,7 +12,7 @@ import repro.benchmark.Benchmarks
   * are reproduced exactly; sizes/lengths approximately (the assembled
   * corpus was never released).
   */
-class Table6Bench extends AnyFunSuite {
+class Table6Bench extends AnyFunSuite with AsciiMessages {
 
   private val paper = Map(
     "SyGuS"     -> (27, 63.3, 11.8, 63),

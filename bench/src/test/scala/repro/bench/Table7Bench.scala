@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.sim.Comparison
 
 /** Table 7 (§7.4): user-effort simulation over all 47 tasks, plus the
@@ -11,7 +12,7 @@ import repro.sim.Comparison
   * The comparison is deterministic; assertions pin the *shape* (who wins,
   * roughly by how much) and the exact CLX expressivity count.
   */
-class Table7Bench extends AnyFunSuite {
+class Table7Bench extends AnyFunSuite with AsciiMessages {
 
   private lazy val s = Comparison.summary()
 

@@ -232,7 +232,7 @@ object ClusterProfile {
   }
 
   /** `Token.render` of a class run without its length, by class tag. */
-  private val RunOpen = Array("<D>", "<L>", "<U>")
+  private val RunOpen = Tokenizer.leafClasses.map(_.tag)
 
   /** One cluster's summary. `spans` holds the start and end offset of each
     * class run, `constant(r)` whether run `r` held the same substring in

@@ -6,7 +6,7 @@ package repro.core
   * Three refinement rounds, each with one generalization strategy:
   *   1. natural-number quantifiers → `+`
   *   2. `<L>`, `<U>` → `<A>`
-  *   3. `<A>`, `<D>`, `'-'`, `'_'` → `<AN>`
+  *   3. `<A>`, `<D>`, `'_'`, `'-'` (`TokType.ANExtension`) → `<AN>`
   * After each token-wise generalization, adjacent same-class tokens merge.
   */
 object Hierarchy {
@@ -37,12 +37,15 @@ object Hierarchy {
     case t                   => t
   }
 
+  /** Folds only one-character literals of `TokType.ANExtension`: an
+    * alphanumeric constant such as `'1'` or `'CPT'` keeps its own token.
+    */
   val strategy3: Strategy = {
-    case Token(TokType.A, q)      => Token(TokType.AN, q)
-    case Token(TokType.D, q)      => Token(TokType.AN, q)
-    case Token(TokType.Lit("-"), _) => Token(TokType.AN, Quant.Num(1))
-    case Token(TokType.Lit("_"), _) => Token(TokType.AN, Quant.Num(1))
-    case t                        => t
+    case Token(TokType.A, q) => Token(TokType.AN, q)
+    case Token(TokType.D, q) => Token(TokType.AN, q)
+    case Token(TokType.Lit(v), _) if v.length == 1 && TokType.ANExtension.contains(v.charAt(0)) =>
+      Token(TokType.AN, Quant.Num(1))
+    case t => t
   }
 
   val strategies: List[Strategy] = List(strategy1, strategy2, strategy3)

@@ -8,22 +8,32 @@ import java.util.regex.{Matcher, Pattern => JPattern}
   * alpha-numeric `<AN>`. `<A>` and `<AN>` never appear in leaf patterns
   * (tokenization always picks the most precise class); they are introduced
   * by the generalization strategies of §4.2. Because strategy 3 folds the
-  * literals `-` and `_` into `<AN>`, the matching regex for `<AN>` includes
-  * those two characters.
+  * literals of `ANExtension` into `<AN>`, the matching regex for `<AN>`
+  * includes those characters.
   */
 sealed trait TokType {
   /** Character-class regex (no quantifier) for this token type. */
   def charRegex: String
-  /** Short display name used in rendered patterns. */
+  /** Name in natural-language patterns (`digit`); a literal's quoted value. */
   def display: String
 }
 
 object TokType {
-  case object D extends TokType { val charRegex = "[0-9]";         val display = "digit" }
-  case object L extends TokType { val charRegex = "[a-z]";         val display = "lower" }
-  case object U extends TokType { val charRegex = "[A-Z]";         val display = "upper" }
-  case object A extends TokType { val charRegex = "[A-Za-z]";      val display = "alpha" }
-  case object AN extends TokType { val charRegex = "[A-Za-z0-9_-]"; val display = "alnum" }
+  /** A Table 2 class; its `tag`, `<name>`, opens its paper-style tokens. */
+  sealed abstract class Base(name: String, val charRegex: String, val display: String) extends TokType {
+    val tag: String = s"<$name>"
+  }
+
+  /** The literals strategy 3 (§4.2) folds into `<AN>`; `-` comes last, so
+    * that it is literal in `AN.charRegex`.
+    */
+  final val ANExtension = "_-"
+
+  case object D extends Base("D", "[0-9]", "digit")
+  case object L extends Base("L", "[a-z]", "lower")
+  case object U extends Base("U", "[A-Z]", "upper")
+  case object A extends Base("A", "[A-Za-z]", "alpha")
+  case object AN extends Base("AN", s"[A-Za-z0-9$ANExtension]", "alnum")
 
   /** A constant-valued token: a single non-alphanumeric character from
     * tokenization, or a multi-character constant discovered statistically
@@ -35,19 +45,19 @@ object TokType {
     val display: String = s"'${value}'"
   }
 
-  /** All base (non-literal) classes, in the order used by `validate`. */
-  val baseClasses: List[TokType] = List(D, L, U, A, AN)
+  /** All base (non-literal) classes, in the order `Validate.validateAt` checks them. */
+  val baseClasses: List[Base] = List(D, L, U, A, AN)
 
   /** Does character `c` belong to base class `t`? (ASCII semantics, matching
     * the regexes of Table 2.)
     */
   def matches(t: TokType, c: Char): Boolean = t match {
-    case D      => c >= '0' && c <= '9'
-    case L      => c >= 'a' && c <= 'z'
-    case U      => c >= 'A' && c <= 'Z'
-    case A      => matches(L, c) || matches(U, c)
-    case AN     => matches(A, c) || matches(D, c) || c == '-' || c == '_'
-    case Lit(v) => v.length == 1 && v.charAt(0) == c
+    case D | L | U =>
+      val i = Tokenizer.classIndex(c)
+      i >= 0 && Tokenizer.leafClasses(i) == t
+    case A         => matches(L, c) || matches(U, c)
+    case AN        => matches(A, c) || matches(D, c) || ANExtension.contains(c)
+    case Lit(v)    => v.length == 1 && v.charAt(0) == c
   }
 }
 
@@ -99,21 +109,12 @@ final case class Token(tpe: TokType, quant: Quant) {
   }
   /** Paper-style rendering, e.g. `<D>3`, `<L>+`, `'@'`. */
   def render: String = tpe match {
-    case TokType.Lit(v) => s"'$v'"
-    case _ =>
-      val name = tpe match {
-        case TokType.D  => "D"
-        case TokType.L  => "L"
-        case TokType.U  => "U"
-        case TokType.A  => "A"
-        case TokType.AN => "AN"
-        case _          => "?"
-      }
-      s"<$name>${quant.display}"
+    case b: TokType.Base => b.tag + quant.display
+    case lit             => lit.display
   }
   /** Wrangler-style natural-language rendering, e.g. `{digit}{3}`. */
   def renderNatural: String = tpe match {
-    case TokType.Lit(v) => s"'$v'"
+    case TokType.Lit(_) => tpe.display
     case _ =>
       quant match {
         case Quant.Num(1) => s"{${tpe.display}}"

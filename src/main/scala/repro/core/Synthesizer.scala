@@ -7,7 +7,7 @@ import UniFi.{Plan, Program, Branch}
 /** §6 program synthesis (Algorithm 2).
   *
   * Traverses the pattern cluster hierarchy top-down; a node that passes
-  * `validate` against some target is solved (aligned, plans ranked by MDL
+  * `validateAt` against some target is solved (aligned, plans ranked by MDL
   * and deduplicated) and its subtree is not descended; otherwise its
   * children are decided. Unsolvable leaves are reported as noise — their
   * strings are "left unchanged and flagged for additional review" (§6.1).

@@ -17,9 +17,11 @@ package repro.core
 object Tokenizer {
 
   /** The classes of leaf class runs, indexed by `classIndex`. */
-  private[core] val leafClasses: Array[TokType] = Array(TokType.D, TokType.L, TokType.U)
+  private[core] val leafClasses: Array[TokType.Base] = Array(TokType.D, TokType.L, TokType.U)
 
-  /** Index of `c`'s class in `leafClasses`, or -1 for a literal character. */
+  /** Index of `c`'s class in `leafClasses`, or -1 for a literal character.
+    * The only definition of the ASCII ranges of `<D>`, `<L>` and `<U>`.
+    */
   private[core] def classIndex(c: Char): Int =
     if (c >= '0' && c <= '9') 0
     else if (c >= 'a' && c <= 'z') 1
@@ -36,45 +38,32 @@ object Tokenizer {
   /** Tokenize a string into its leaf pattern. The empty string maps to the
     * empty pattern (a cluster of its own).
     */
-  def tokenize(s: String): Pattern = {
+  def tokenize(s: String): Pattern = scan(s, null)
+
+  /** Tokenize and also return the per-token substrings (used by the
+    * FlashFill and RegexReplace baselines; avoids a regex round-trip).
+    */
+  def tokenizeWithValues(s: String): (Pattern, Vector[String]) = {
+    val values = Vector.newBuilder[String]
+    (scan(s, values), values.result())
+  }
+
+  /** The leaf pattern of `s`; unless `values` is null, also add each
+    * token's substring to it.
+    */
+  private def scan(s: String, values: collection.mutable.Builder[String, Vector[String]]): Pattern = {
     val out = Vector.newBuilder[Token]
     var i = 0
     val n = s.length
     while (i < n) {
-      val c = s.charAt(i)
-      val cls = classIndex(c)
-      if (cls < 0) {
-        val end = literalEnd(s, i)
-        out += Token.lit(if (end == i + 1) c.toString else s.substring(i, end))
-        i = end
-      } else {
-        var j = i + 1
-        while (j < n && classIndex(s.charAt(j)) == cls) j += 1
-        out += Token(leafClasses(cls), Quant.Num(j - i))
-        i = j
-      }
+      val cls = classIndex(s.charAt(i))
+      var j = i + 1
+      if (cls < 0) j = literalEnd(s, i)
+      else while (j < n && classIndex(s.charAt(j)) == cls) j += 1
+      out += (if (cls < 0) Token.lit(s.substring(i, j)) else Token(leafClasses(cls), j - i))
+      if (values != null) values += s.substring(i, j)
+      i = j
     }
     Pattern(out.result())
-  }
-
-  /** Tokenize and also return the per-token substrings (used by constant
-    * discovery and by grounded plan checking; avoids a regex round-trip).
-    */
-  def tokenizeWithValues(s: String): (Pattern, Vector[String]) = {
-    val p = tokenize(s)
-    var idx = 0
-    val vals = p.tokens.map { t =>
-      val len = t.tpe match {
-        case TokType.Lit(v) => v.length
-        case _ => t.quant match {
-          case Quant.Num(n) => n
-          case Quant.Plus   => sys.error("leaf tokens never carry '+'")
-        }
-      }
-      val v = s.substring(idx, idx + len)
-      idx += len
-      v
-    }
-    (p, vals)
   }
 }

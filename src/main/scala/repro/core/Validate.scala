@@ -19,39 +19,29 @@ object Validate {
   /** Token frequency Q of base class `cls` in `p` (Eq. 1), optionally
     * crediting literal contents (source side).
     */
-  def freq(cls: TokType, p: Pattern, countLiterals: Boolean): Int =
+  def freq(cls: TokType.Base, p: Pattern, countLiterals: Boolean): Int =
     p.tokens.map {
-      case Token(TokType.Lit(v), _) =>
-        cls match {
-          case TokType.D | TokType.L | TokType.U if countLiterals =>
-            v.count(c => TokType.matches(cls, c))
-          case _ => 0
-        }
+      case Token(TokType.Lit(v), _) if countLiterals && Tokenizer.leafClasses.contains(cls) =>
+        v.count(TokType.matches(cls, _))
       case Token(tpe, q) if tpe == cls => q.freqValue
       case _                           => 0
     }.sum
 
-  /** Paper's Q (base tokens only). */
-  def freq(cls: TokType, p: Pattern): Int = freq(cls, p, countLiterals = false)
-
-  /** V(source, target) — Eq. 2, exactly as in the paper (base tokens only).
-    * Rejecting a generalized pattern whose class material was washed into
-    * `<A>`/`<AN>` is what drives Algorithm 2 to descend to more specific
-    * children (the paper's reason 3 in §6.1).
+  /** V(source, target) of a source at a hierarchy node (Eq. 2): for every
+    * base class the source holds at least the target's frequency.
+    *
+    * At an inner node (`isLeaf = false`) this is Eq. 2 exactly as in the
+    * paper, over base tokens only. Rejecting a generalized pattern whose
+    * class material was washed into `<A>`/`<AN>` is what drives Algorithm 2
+    * to descend to more specific children (the paper's reason 3 in §6.1).
+    *
+    * At a leaf, constants discovered there (e.g. `'CPT'`) still hold
+    * extractable class material, so literal contents are credited on the
+    * source side. Crediting them at inner nodes would let over-general
+    * patterns pass on literal material alone and stop the descent the paper
+    * relies on — hence the leaf flag.
     */
-  def validate(source: Pattern, target: Pattern): Boolean =
-    TokType.baseClasses.forall(cls => freq(cls, source) >= freq(cls, target))
-
-  /** Leaf-level variant: constants discovered at the leaves (e.g. `'CPT'`)
-    * still hold extractable class material, so literal contents are
-    * credited on the source side. Using this at internal nodes would let
-    * over-general patterns pass on literal material alone and stop the
-    * descent the paper relies on — hence the split.
-    */
-  def validateLeaf(source: Pattern, target: Pattern): Boolean =
-    TokType.baseClasses.forall(cls =>
-      freq(cls, source, countLiterals = true) >= freq(cls, target, countLiterals = false))
-
   def validateAt(source: Pattern, target: Pattern, isLeaf: Boolean): Boolean =
-    if (isLeaf) validateLeaf(source, target) else validate(source, target)
+    TokType.baseClasses.forall(cls =>
+      freq(cls, source, countLiterals = isLeaf) >= freq(cls, target, countLiterals = false))
 }

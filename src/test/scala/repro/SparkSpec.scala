@@ -12,7 +12,7 @@ import org.scalatest.funsuite.AnyFunSuite
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
   * paper's contribution is the broadcast side.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite with AsciiMessages with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   /** `strings` as a DataFrame of one column, `s`. */

@@ -1,9 +1,10 @@
 package repro.benchmark
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 
 /** Structural invariants of the reconstructed 47-task corpus (Table 6). */
-class BenchmarksSpec extends AnyFunSuite {
+class BenchmarksSpec extends AnyFunSuite with AsciiMessages {
 
   test("corpus has exactly 47 tasks") {
     assert(Benchmarks.all.size == 47)

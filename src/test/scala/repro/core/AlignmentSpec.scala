@@ -1,13 +1,14 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import TokType._
 import UniFi.{ConstStr, Extract}
 
 /** §6.2 token alignment (Algorithm 3), including the sequential-extract
   * combination and the soundness/completeness properties of Appendix A.
   */
-class AlignmentSpec extends AnyFunSuite {
+class AlignmentSpec extends AnyFunSuite with AsciiMessages {
 
   import PatternGen.p
 

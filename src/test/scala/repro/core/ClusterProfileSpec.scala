@@ -3,13 +3,14 @@ package repro.core
 import java.nio.charset.StandardCharsets.UTF_8
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import TokType._
 
 /** The one-pass cluster profile behind leaf clustering, constant discovery
   * (§4) and the pattern listings: its compact key, its merge, and agreement
   * with straightforward `groupBy(tokenize)` references.
   */
-class ClusterProfileSpec extends AnyFunSuite {
+class ClusterProfileSpec extends AnyFunSuite with AsciiMessages {
 
   import PatternGen.{cells, check, columns, strings, tagged, words}
 

@@ -2,13 +2,14 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.benchmark.Benchmarks
 import repro.sim.ClxSim
 import TokType._
 import UniFi.{ConstStr, Extract, Plan, StringExpr}
 
 /** Appendix B: equivalent-plan detection. */
-class DedupSpec extends AnyFunSuite {
+class DedupSpec extends AnyFunSuite with AsciiMessages {
 
   /** Definition 6.2 equivalence w.r.t. `source`: equal canonical words. */
   private def equivalent(p1: Plan, p2: Plan, source: Pattern): Boolean =

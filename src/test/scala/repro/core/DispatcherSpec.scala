@@ -3,14 +3,14 @@ package repro.core
 import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Ascii
+import repro.{Ascii, AsciiMessages}
 import TokType._
 import UniFi._
 
 /** Program application through the leaf-key dispatcher agrees with running
   * every pattern's regex on every string.
   */
-class DispatcherSpec extends AnyFunSuite {
+class DispatcherSpec extends AnyFunSuite with AsciiMessages {
 
   import PatternGen.{check, columns, fixed, p, plan, reference, strings, tagged}
 

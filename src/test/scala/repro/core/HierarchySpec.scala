@@ -1,11 +1,12 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import TokType._
 import Hierarchy._
 
 /** §4.2 Algorithm 1 and the three generalization strategies. */
-class HierarchySpec extends AnyFunSuite {
+class HierarchySpec extends AnyFunSuite with AsciiMessages {
 
   private val email = Tokenizer.tokenize("Bob123@gmail.com")
 
@@ -36,9 +37,13 @@ class HierarchySpec extends AnyFunSuite {
   }
 
   test("strategy 3 folds literal dash") {
-    val p = Tokenizer.tokenize("a-b")
-    val p3 = getParent(getParent(getParent(p, strategy1), strategy2), strategy3)
-    assert(p3.render == "<AN>+")
+    def top(p: Pattern) = getParent(getParent(getParent(p, strategy1), strategy2), strategy3)
+    assert(top(Tokenizer.tokenize("a-b")).render == "<AN>+")
+    assert(top(Tokenizer.tokenize("a_b")).render == "<AN>+")
+    // Alphanumeric constants keep their own token: '1' of "+1 ..." after
+    // constant discovery, and 'CPT'.
+    val leaves = Synthesizer.leafClusters(Seq("+1 734-5", "+1 201-6", "CPT-1", "CPT-2")).keySet
+    assert(leaves.map(top(_).render) == Set("'+''1'' '<AN>+", "'CPT'<AN>+"))
   }
 
   test("strategy 1 leaves literal tokens alone") {

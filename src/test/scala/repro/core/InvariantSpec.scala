@@ -1,11 +1,12 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.benchmark.Benchmarks
 import repro.sim.ClxSim
 
 /** Cross-cutting invariants of the clustering/synthesis pipeline. */
-class InvariantSpec extends AnyFunSuite {
+class InvariantSpec extends AnyFunSuite with AsciiMessages {
 
   private val corpusStrings: Vector[String] =
     Benchmarks.all.take(12).flatMap(_.data.map(_._1)).distinct

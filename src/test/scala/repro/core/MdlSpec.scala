@@ -2,11 +2,12 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import UniFi.{ConstStr, Extract, Plan}
 import TokType.D
 
 /** §6.3 MDL ranking (Eq. 3–6) and the paper's Example 9. */
-class MdlSpec extends AnyFunSuite {
+class MdlSpec extends AnyFunSuite with AsciiMessages {
 
   private val e13 = Plan(Vector(Extract(1, 3)))
   private val split = Plan(Vector(Extract(1), ConstStr("/"), Extract(3)))

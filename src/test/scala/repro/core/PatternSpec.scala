@@ -1,12 +1,13 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import TokType._
 
 /** Pattern model: rendering, regex generation, matching, splitting,
   * adjacent-merge semantics.
   */
-class PatternSpec extends AnyFunSuite {
+class PatternSpec extends AnyFunSuite with AsciiMessages {
 
   private val phone = Tokenizer.tokenize("(734) 645-8397")
 
@@ -108,6 +109,11 @@ class PatternSpec extends AnyFunSuite {
     assert(TokType.matches(A, 'q') && TokType.matches(A, 'Q') && !TokType.matches(A, '1'))
     assert(TokType.matches(AN, '1') && TokType.matches(AN, '-') && TokType.matches(AN, '_'))
     assert(!TokType.matches(AN, ' '))
+    // Every base class against its regex on Latin-1, a non-ASCII digit, a
+    // fullwidth 'A' and a lone surrogate.
+    val chars = ('\u0000' to '\u00FF') ++ Seq('\u0663', '\uFF21', '\uD83D')
+    for (t <- TokType.baseClasses; c <- chars)
+      assert(TokType.matches(t, c) == String.valueOf(c).matches(t.charRegex), f"$t on U+${c.toInt}%04X")
   }
 
   test("split of generalized pattern on longer runs") {

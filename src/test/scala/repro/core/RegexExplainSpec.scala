@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import UniFi._
 
 /** §5 "Program Explanation": UniFi → regexp replace operations, in both
@@ -8,7 +9,7 @@ import UniFi._
   * key invariant (the user verifies the Replace ops, so they must do what
   * the program does).
   */
-class RegexExplainSpec extends AnyFunSuite {
+class RegexExplainSpec extends AnyFunSuite with AsciiMessages {
 
   private val branch @ Branch(src, plan) = PatternGen.phoneBranch
 

@@ -1,13 +1,14 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.benchmark.Benchmarks
 import repro.sim.ClxSim
 
 /** §6 end-to-end synthesis (Algorithm 2), including the paper's Table 3
   * and Table 4 tasks and its worked examples.
   */
-class SynthesizerSpec extends AnyFunSuite {
+class SynthesizerSpec extends AnyFunSuite with AsciiMessages {
 
   import PatternGen.p
 

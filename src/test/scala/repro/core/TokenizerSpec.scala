@@ -2,12 +2,13 @@ package repro.core
 
 import java.nio.charset.StandardCharsets.UTF_8
 
+import org.scalacheck.Prop
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Ascii
+import repro.{Ascii, AsciiMessages}
 import TokType._
 
 /** §4.1 tokenization rules. */
-class TokenizerSpec extends AnyFunSuite {
+class TokenizerSpec extends AnyFunSuite with AsciiMessages {
 
   private def pat(s: String): String = Tokenizer.tokenize(s).render
 
@@ -70,6 +71,13 @@ class TokenizerSpec extends AnyFunSuite {
       val (_, vals) = Tokenizer.tokenizeWithValues(s)
       assert(vals.mkString == s, s"for string '$s'")
     }
+  }
+
+  test("tokenizeWithValues is tokenize with split's token values") {
+    PatternGen.check(Prop.forAll(PatternGen.strings) { s =>
+      val p = Tokenizer.tokenize(s)
+      Tokenizer.tokenizeWithValues(s) == ((p, p.split(s).get))
+    }, 500)
   }
 
   test("every string matches its own pattern (property)") {

@@ -1,10 +1,11 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import UniFi._
 
 /** The UniFi language (Fig. 7): evaluation semantics. */
-class UniFiSpec extends AnyFunSuite {
+class UniFiSpec extends AnyFunSuite with AsciiMessages {
 
   private val Branch(phoneSrc, plan) = PatternGen.phoneBranch
 

@@ -1,11 +1,12 @@
 package repro.flashfill
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.core.{Hierarchy, Tokenizer}
 import FlashFill._
 
 /** The FlashFill-class baseline synthesizer (substrate for §7). */
-class FlashFillSpec extends AnyFunSuite {
+class FlashFillSpec extends AnyFunSuite with AsciiMessages {
 
   test("single example: extract a token range") {
     val prog = FlashFillSynth.learn(Vector(("John Smith", "John")))

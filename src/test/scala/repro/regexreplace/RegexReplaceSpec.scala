@@ -2,7 +2,7 @@ package repro.regexreplace
 
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.Ascii
+import repro.{Ascii, AsciiMessages}
 import repro.core.{Pattern, PatternGen, Token, Tokenizer}
 import repro.core.PatternGen.{check, fixed, noise, phoneBranch, reference, strings}
 import repro.core.UniFi.{Branch, ConstStr, Extract, Plan, Program}
@@ -11,7 +11,7 @@ import repro.core.UniFi.{Branch, ConstStr, Extract, Plan, Program}
   * Replace ops run as `Program(Vector.empty, ops)`, as `RegexReplaceSim`
   * runs them.
   */
-class RegexReplaceSpec extends AnyFunSuite {
+class RegexReplaceSpec extends AnyFunSuite with AsciiMessages {
 
   /** The recipe of `ops`, first match wins. */
   private def recipe(ops: Vector[Branch]): Program = Program(Vector.empty, ops)

@@ -1,11 +1,12 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.AsciiMessages
 import repro.benchmark.Benchmarks
 import repro.core.Tokenizer
 
 /** §7.4 simulated lazy users: Step accounting for all three systems. */
-class SimSpec extends AnyFunSuite {
+class SimSpec extends AnyFunSuite with AsciiMessages {
 
   private def task(id: String) = Benchmarks.all.find(_.id == id).get
 
